@@ -20,6 +20,11 @@ The model additionally precomputes, for every position, the length of the
 longest regulation chain that can *start* there (climbing up) or *end*
 there (equivalently: the longest descending chain starting there).  These
 tables implement the paper's MinC pruning (strategy 2).
+
+:class:`RWaveIndex` holds those tables for every gene of a matrix.  It
+computes them for all genes in one vectorized pass (:func:`chain_tables`)
+instead of building one model object per gene, and builds a gene's
+:class:`RWaveModel` only when asked.
 """
 
 from __future__ import annotations
@@ -35,7 +40,13 @@ from repro.core.kernels import RegulationKernel
 from repro.core.regulation import gene_thresholds
 from repro.matrix.expression import ExpressionMatrix
 
-__all__ = ["RegulationPointer", "RWaveModel", "RWaveIndex", "build_rwave"]
+__all__ = [
+    "RegulationPointer",
+    "RWaveModel",
+    "RWaveIndex",
+    "build_rwave",
+    "chain_tables",
+]
 
 
 @dataclass(frozen=True)
@@ -269,8 +280,66 @@ def build_rwave(
     return RWaveModel(matrix.values[i], threshold, gene=i)
 
 
+#: Gene-axis chunk of the columnar index build, bounding the dense
+#: ``(chunk, C, C)`` comparison tensor as the kernel's ``_PACK_CHUNK`` does.
+_INDEX_CHUNK = 512
+
+
+def chain_tables(
+    values: ArrayLike, thresholds: ArrayLike
+) -> Tuple[NDArray[np.intp], NDArray[np.intp]]:
+    """MinC max-chain tables of every row, indexed by condition id.
+
+    Returns ``(max_up, max_down)``, both shaped like ``values``; row
+    ``g`` equals ``RWaveModel(values[g], thresholds[g])``'s
+    ``max_chain_up`` / ``max_chain_down`` scattered back to condition
+    ids.  The per-gene model hops to the nearest pointer; that pointer's
+    far end is the position's *closest* regulation successor (going up)
+    or predecessor (going down), so the tables need only those two
+    positions.  Over a row's sorted values ``s`` the exact Eq. 3
+    predicate ``s[h] - s[q] > gamma_g`` holds on a prefix of ``q`` and a
+    suffix of ``h`` (float subtraction is monotone), so both positions
+    are counts over one ``(C, C)`` comparison plane per gene.
+    """
+    data = np.asarray(values, dtype=np.float64)
+    per_gene = np.asarray(thresholds, dtype=np.float64)
+    n_genes, n_conditions = data.shape
+    order = np.argsort(data, axis=1, kind="stable")
+    sorted_values = np.take_along_axis(data, order, axis=1)
+    # closest_pred[g, h]: largest position q with s[h] - s[q] > gamma_g
+    # (-1 if none); closest_succ[g, q]: smallest such h (C if none).
+    closest_pred = np.empty((n_genes, n_conditions), dtype=np.intp)
+    closest_succ = np.empty((n_genes, n_conditions), dtype=np.intp)
+    # One-time build, chunked to bound memory, not a search-time loop.
+    for start in range(0, n_genes, _INDEX_CHUNK):  # reglint: disable=RL106
+        stop = min(start + _INDEX_CHUNK, n_genes)
+        block = sorted_values[start:stop]
+        # Same operands, same order, as RWaveModel's Eq. 3 check.
+        regulated = (
+            block[:, :, None] - block[:, None, :]
+            > per_gene[start:stop, None, None]
+        )
+        closest_pred[start:stop] = regulated.sum(axis=2) - 1
+        closest_succ[start:stop] = n_conditions - regulated.sum(axis=1)
+    # Longest chains by position, one vectorized step per condition.
+    # Sentinel columns (0 past the top for up, 0 before the bottom for
+    # down) end a chain that has no further hop.
+    genes = np.arange(n_genes)
+    up = np.zeros((n_genes, n_conditions + 1), dtype=np.intp)
+    down = np.zeros((n_genes, n_conditions + 1), dtype=np.intp)
+    for pos in range(n_conditions - 1, -1, -1):
+        up[:, pos] = 1 + up[genes, closest_succ[:, pos]]
+    for pos in range(n_conditions):
+        down[:, pos + 1] = 1 + down[genes, closest_pred[:, pos] + 1]
+    max_up = np.empty((n_genes, n_conditions), dtype=np.intp)
+    max_down = np.empty((n_genes, n_conditions), dtype=np.intp)
+    np.put_along_axis(max_up, order, up[:, :-1], axis=1)
+    np.put_along_axis(max_down, order, down[:, 1:], axis=1)
+    return max_up, max_down
+
+
 class RWaveIndex:
-    """RWave^gamma models of every gene, plus miner-facing lookup arrays.
+    """Miner-facing RWave^gamma lookup arrays of every gene.
 
     The miner needs three bulk views, all shaped ``(n_genes,
     n_conditions)`` and indexed by condition *id*:
@@ -279,8 +348,12 @@ class RWaveIndex:
         longest regulation chain starting at condition ``c`` climbing up;
     ``max_down[g, c]``
         same, descending;
-    and the per-gene thresholds.  They are materialized once here so chain
-    extension reduces to vectorized numpy arithmetic.
+    and the per-gene thresholds.  They are built for every gene at once
+    by :func:`chain_tables`, so chain extension reduces to vectorized
+    numpy arithmetic.  The index keeps only these arrays (plus the
+    matrix and the lazy kernel); :meth:`model` builds a gene's full
+    :class:`RWaveModel` — pointers, Lemma 3.1 queries, Figure 3
+    rendering — on demand.
     """
 
     def __init__(
@@ -290,36 +363,12 @@ class RWaveIndex:
         *,
         thresholds: Optional[ArrayLike] = None,
     ) -> None:
-        self.matrix = matrix
-        self.gamma = float(gamma)
         if thresholds is None:
-            per_gene = gene_thresholds(matrix, gamma)
-        else:
-            per_gene = np.asarray(thresholds, dtype=np.float64)
-            if per_gene.shape != (matrix.n_genes,):
-                raise ValueError(
-                    f"thresholds must have shape ({matrix.n_genes},), got "
-                    f"{per_gene.shape}"
-                )
-            if np.any(per_gene < 0):
-                raise ValueError("thresholds must be non-negative")
-        self.thresholds: NDArray[np.float64] = per_gene
-        self.models: Tuple[RWaveModel, ...] = tuple(
-            RWaveModel(matrix.values[i], float(self.thresholds[i]), gene=i)
-            # One-time index build, not a search-time loop.
-            for i in range(matrix.n_genes)  # reglint: disable=RL106
+            thresholds = gene_thresholds(matrix, gamma)
+        self._assign(matrix, gamma, thresholds)
+        self.max_up, self.max_down = chain_tables(
+            matrix.values, self.thresholds
         )
-        n_genes, n_conditions = matrix.shape
-        self.max_up: NDArray[np.intp] = np.empty(
-            (n_genes, n_conditions), dtype=np.intp
-        )
-        self.max_down: NDArray[np.intp] = np.empty(
-            (n_genes, n_conditions), dtype=np.intp
-        )
-        for i, model in enumerate(self.models):
-            self.max_up[i, model.order] = model.max_chain_up
-            self.max_down[i, model.order] = model.max_chain_down
-        self._kernel: Optional[RegulationKernel] = None
         # Debug-mode Lemma 3.1 invariant checks (repro.analysis.contracts):
         # a no-op unless contracts are enabled for the process.
         maybe_check_rwave_index(self)
@@ -331,38 +380,22 @@ class RWaveIndex:
         gamma: float,
         *,
         thresholds: ArrayLike,
-        models: Sequence[RWaveModel],
         max_up: ArrayLike,
         max_down: ArrayLike,
     ) -> "RWaveIndex":
-        """Assemble an index from prebuilt per-gene models.
+        """Assemble an index from prebuilt max-chain tables.
 
         The delta-update seam (:mod:`repro.incremental.update`): a
         revision that appends or drops genes leaves the surviving
-        genes' rows — and therefore their models and max-chain tables —
-        untouched, so an updated index splices them in verbatim instead
-        of re-sorting every gene.  The caller guarantees the parts
-        belong to ``(matrix, gamma)``; the same debug-mode Lemma 3.1
-        contract hook as the cold constructor re-checks them when
-        contracts are enabled.
+        genes' rows — and therefore their table rows — untouched, so an
+        updated index splices or slices them instead of re-sorting
+        every gene.  The caller guarantees the parts belong to
+        ``(matrix, gamma)``; the same debug-mode Lemma 3.1 contract hook
+        as the cold constructor re-checks them when contracts are
+        enabled.
         """
         index = cls.__new__(cls)
-        index.matrix = matrix
-        index.gamma = float(gamma)
-        per_gene = np.asarray(thresholds, dtype=np.float64)
-        if per_gene.shape != (matrix.n_genes,):
-            raise ValueError(
-                f"thresholds must have shape ({matrix.n_genes},), got "
-                f"{per_gene.shape}"
-            )
-        if np.any(per_gene < 0):
-            raise ValueError("thresholds must be non-negative")
-        index.thresholds = per_gene
-        index.models = tuple(models)
-        if len(index.models) != matrix.n_genes:
-            raise ValueError(
-                f"expected {matrix.n_genes} models, got {len(index.models)}"
-            )
+        index._assign(matrix, gamma, thresholds)
         shape = (matrix.n_genes, matrix.n_conditions)
         index.max_up = np.asarray(max_up, dtype=np.intp)
         index.max_down = np.asarray(max_down, dtype=np.intp)
@@ -371,13 +404,32 @@ class RWaveIndex:
                 f"max-chain tables must have shape {shape}, got "
                 f"{index.max_up.shape} / {index.max_down.shape}"
             )
-        index._kernel = None
         maybe_check_rwave_index(index)
         return index
 
+    def _assign(
+        self, matrix: ExpressionMatrix, gamma: float, thresholds: ArrayLike
+    ) -> None:
+        """Set the matrix, gamma and validated thresholds; no kernel yet."""
+        per_gene = np.asarray(thresholds, dtype=np.float64)
+        if per_gene.shape != (matrix.n_genes,):
+            raise ValueError(
+                f"thresholds must have shape ({matrix.n_genes},), got "
+                f"{per_gene.shape}"
+            )
+        if np.any(per_gene < 0):
+            raise ValueError("thresholds must be non-negative")
+        self.matrix = matrix
+        self.gamma = float(gamma)
+        self.thresholds: NDArray[np.float64] = per_gene
+        self._kernel: Optional[RegulationKernel] = None
+
     def model(self, gene: "int | str") -> RWaveModel:
-        """The RWave model of one gene."""
-        return self.models[self.matrix.gene_index(gene)]
+        """The RWave model of one gene, built from its row and threshold."""
+        i = self.matrix.gene_index(gene)
+        return RWaveModel(
+            self.matrix.values[i], float(self.thresholds[i]), gene=i
+        )
 
     @property
     def kernel(self) -> RegulationKernel:
@@ -410,7 +462,7 @@ class RWaveIndex:
         self._kernel = kernel
 
     def __len__(self) -> int:
-        return len(self.models)
+        return self.matrix.n_genes
 
     def __getstate__(self) -> "dict[str, object]":
         """Pickle without the kernel: it is cached as its own artifact
@@ -423,3 +475,6 @@ class RWaveIndex:
         self.__dict__.update(state)
         # Indexes pickled before the kernel attribute existed.
         self.__dict__.setdefault("_kernel", None)
+        # Indexes pickled while every gene's model was kept: the tables
+        # above already hold all the miner reads, so the models go.
+        self.__dict__.pop("models", None)

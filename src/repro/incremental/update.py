@@ -17,20 +17,19 @@ makes delta updates exact rather than approximate:
   tensor is *byte-identical* to a cold build — asserted by the
   equivalence suite in ``tests/incremental/test_update.py``.
 
-* **Index** (:class:`~repro.core.rwave.RWaveIndex`): a gene's RWave
-  model depends only on its own row and threshold, so ``append_genes``
-  splices the parent's model objects next to freshly built ones and
-  ``drop_genes`` keeps shallow copies of the survivors (re-numbered
-  for diagnostics; the parent index, which may be shared through the
-  artifact cache, is never mutated).  ``append_conditions`` changes
-  every row, so all models are rebuilt — that is the cheap
-  ``O(G C log C)`` part of index construction; the expensive
-  ``O(G C^2)`` packing is what the kernel update above avoids.
+* **Index** (:class:`~repro.core.rwave.RWaveIndex`): a gene's
+  threshold and max-chain table rows depend only on its own row, so
+  ``append_genes`` stacks the parent's rows on top of rows computed
+  for the new genes only, and ``drop_genes`` slices out the survivors'
+  rows into fresh arrays (the parent index, which may be shared
+  through the artifact cache, is never mutated).  ``append_conditions``
+  changes every row, so the index is rebuilt cold.  That rebuild is a
+  vectorized ``O(G C^2)`` comparison pass like a cold kernel pack,
+  and unlike the kernel it reuses nothing from the parent.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -39,7 +38,7 @@ from numpy.typing import NDArray
 
 from repro.core.kernels import DEFAULT_SLICE_CACHE, RegulationKernel
 from repro.core.regulation import gene_thresholds
-from repro.core.rwave import RWaveIndex, RWaveModel
+from repro.core.rwave import RWaveIndex, chain_tables
 from repro.incremental.delta import (
     AppendConditions,
     AppendGenes,
@@ -71,9 +70,10 @@ class IndexUpdate:
     """A delta-updated index plus its reuse accounting."""
 
     index: RWaveIndex
-    #: per-gene RWave models carried over from the parent index
+    #: gene rows (threshold and max-chain tables) carried over from the
+    #: parent index
     reused_models: int
-    #: per-gene RWave models built fresh
+    #: gene rows computed fresh
     rebuilt_models: int
 
 
@@ -253,11 +253,8 @@ def update_index(
     _check_pair(parent_matrix, child_matrix, delta)
     gamma = parent_index.gamma
     if isinstance(delta, AppendConditions):
-        # Every gene row gained values: all sort orders, pointers and
-        # chain tables may change, so models are rebuilt cold.  This is
-        # the O(G C log C) part of index construction; the O(G C^2)
-        # kernel packing — the expensive part — is what update_kernel
-        # avoids re-doing.
+        # Every gene row gained values: all sort orders and chain tables
+        # may change, so the index is rebuilt cold.
         index = RWaveIndex(child_matrix, gamma)
         return IndexUpdate(
             index=index,
@@ -274,31 +271,20 @@ def update_index(
                 "parent index thresholds disagree with the child matrix; "
                 "the parent index does not belong to this lineage"
             )
-        new_models = [
-            RWaveModel(
-                child_matrix.values[i], float(child_thresholds[i]), gene=i
-            )
-            # One-time build of the appended genes' models only.
-            for i in range(n_old, child_matrix.n_genes)  # reglint: disable=RL106
-        ]
-        n_conditions = child_matrix.n_conditions
-        new_up = np.empty((len(new_models), n_conditions), dtype=np.intp)
-        new_down = np.empty((len(new_models), n_conditions), dtype=np.intp)
-        for row, model in enumerate(new_models):  # reglint: disable=RL106
-            new_up[row, model.order] = model.max_chain_up
-            new_down[row, model.order] = model.max_chain_down
+        new_up, new_down = chain_tables(
+            child_matrix.values[n_old:], child_thresholds[n_old:]
+        )
         index = RWaveIndex.from_parts(
             child_matrix,
             gamma,
             thresholds=child_thresholds,
-            models=(*parent_index.models, *new_models),
             max_up=np.vstack([parent_index.max_up, new_up]),
             max_down=np.vstack([parent_index.max_down, new_down]),
         )
         return IndexUpdate(
             index=index,
             reused_models=n_old,
-            rebuilt_models=len(new_models),
+            rebuilt_models=len(delta.names),
         )
     # DropGenes (``_check_pair`` already rejected unknown kinds).
     kept = _kept_gene_indices(parent_matrix, delta)
@@ -309,23 +295,15 @@ def update_index(
             "parent index thresholds disagree with the child matrix; "
             "the parent index does not belong to this lineage"
         )
-    survivors = []
-    for new_id, old_id in enumerate(kept):  # reglint: disable=RL106
-        # Shallow copy: the heavy arrays (order/position/chain tables)
-        # are shared read-only with the parent's model; only the
-        # diagnostic gene number is re-pointed.  The parent index — which
-        # may be shared through the artifact cache — is never mutated.
-        model = copy.copy(parent_index.models[int(old_id)])
-        model.gene = new_id
-        survivors.append(model)
+    # Fancy indexing copies the survivors' rows: the parent index is
+    # never mutated.
     index = RWaveIndex.from_parts(
         child_matrix,
         gamma,
         thresholds=child_thresholds,
-        models=survivors,
-        max_up=np.ascontiguousarray(parent_index.max_up[kept]),
-        max_down=np.ascontiguousarray(parent_index.max_down[kept]),
+        max_up=parent_index.max_up[kept],
+        max_down=parent_index.max_down[kept],
     )
     return IndexUpdate(
-        index=index, reused_models=len(survivors), rebuilt_models=0
+        index=index, reused_models=int(kept.shape[0]), rebuilt_models=0
     )

@@ -4,11 +4,10 @@ Three artifact kinds are memoized:
 
 ``index``
     A pickled :class:`~repro.core.rwave.RWaveIndex`, keyed by matrix
-    content digest + gamma.  Building the index (Definition 3.1 models
-    for every gene plus the max-chain tables) dominates startup cost on
-    large matrices, and the same index serves *every* parameter setting
-    that shares gamma — only MinG/MinC/epsilon change between typical
-    sweep jobs.
+    content digest + gamma: the matrix, the per-gene thresholds and the
+    two max-chain tables, about three times the matrix's float bytes.
+    The same index serves *every* parameter setting that shares gamma —
+    only MinG/MinC/epsilon change between typical sweep jobs.
 ``kernel``
     A pickled :class:`~repro.core.kernels.RegulationKernel` — the
     bit-packed Eq. 3 relation the miner's hot path runs on — keyed the
@@ -53,8 +52,9 @@ __all__ = [
     "kernel_cache_key",
 ]
 
-#: Default size bound: generous for indexes of paper-scale matrices
-#: (the 2884x17 yeast index pickles to a few MB).
+#: Default size bound: an index pickles to about three times its
+#: matrix's float bytes (about 8 MB at 8000x40, 1.2 MB for the 2884x17
+#: yeast matrix), so dozens of paper-scale indexes and kernels fit.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 

@@ -767,6 +767,13 @@ def _drive_pool(
                         retry_at[start] = _retry_time(driver, start)
                 else:
                     driver.record_shard(shard)
+                    if futures:
+                        # Completions that one wait() returned together
+                        # are still separate shard boundaries.
+                        driver.check_interrupts(
+                            f"after {len(driver.shards)} of "
+                            f"{matrix.n_conditions} shards"
+                        )
             if broken:
                 # The executor is unusable: salvage finished futures,
                 # charge the in-flight shards one attempt, start over.

@@ -71,6 +71,7 @@ class TestRunCase:
         assert entry["repeats"] == 2
         assert entry["wall_seconds"] > 0
         assert entry["wall_seconds_mean"] >= entry["wall_seconds"]
+        assert entry["index_build_seconds"] > 0
         assert entry["nodes_expanded"] > 0
         assert entry["nodes_per_second"] > 0
         assert entry["clusters"] == 1

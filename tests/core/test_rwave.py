@@ -177,14 +177,23 @@ class TestIndex:
     def test_index_tables_match_models(self, running_example):
         index = RWaveIndex(running_example, 0.15)
         assert len(index) == 3
-        for gene, model in enumerate(index.models):
+        for gene in range(len(index)):
+            model = index.model(gene)
             for cond in range(running_example.n_conditions):
                 assert index.max_up[gene, cond] == model.max_up_from(cond)
                 assert index.max_down[gene, cond] == model.max_down_from(cond)
 
     def test_model_lookup_by_name(self, running_example):
         index = RWaveIndex(running_example, 0.15)
-        assert index.model("g2") is index.models[1]
+        model = index.model("g2")
+        assert model.gene == 1
+        assert model.threshold == index.thresholds[1]
+        np.testing.assert_array_equal(
+            index.max_up[1, model.order], model.max_chain_up
+        )
+        np.testing.assert_array_equal(
+            index.max_down[1, model.order], model.max_chain_down
+        )
 
 
 class TestRendering:

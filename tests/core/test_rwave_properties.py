@@ -152,6 +152,77 @@ def test_contracts_accept_every_built_index(rows, gamma):
     check_rwave_index(index)
 
 
+@st.composite
+def matrices_and_thresholds(draw):
+    """Small matrices with ties and constant rows, plus explicit
+    thresholds (some equal to a pairwise difference, testing Eq. 3's
+    strict inequality) or ``None`` for the Eq. 4 thresholds."""
+    n_conditions = draw(st.integers(min_value=1, max_value=17))
+    n_genes = draw(st.integers(min_value=1, max_value=6))
+    value = st.one_of(
+        st.integers(min_value=-3, max_value=3).map(float),
+        st.floats(min_value=-100, max_value=100, allow_nan=False, width=32),
+    )
+    rows = []
+    for __ in range(n_genes):
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            rows.append([draw(value)] * n_conditions)
+        else:
+            rows.append(
+                draw(
+                    st.lists(
+                        value, min_size=n_conditions, max_size=n_conditions
+                    )
+                )
+            )
+    if not draw(st.booleans()):
+        return ExpressionMatrix(rows), None
+    position = st.integers(min_value=0, max_value=n_conditions - 1)
+    thresholds = []
+    for row in rows:
+        difference = abs(row[draw(position)] - row[draw(position)])
+        thresholds.append(
+            draw(
+                st.one_of(
+                    st.just(difference),
+                    st.floats(min_value=0, max_value=50, allow_nan=False),
+                )
+            )
+        )
+    return ExpressionMatrix(rows), thresholds
+
+
+def assert_tables_match_models(index):
+    """``index.max_up``/``max_down`` equal every gene's model tables."""
+    for gene, row in enumerate(index.matrix.values):
+        model = RWaveModel(row, float(index.thresholds[gene]))
+        np.testing.assert_array_equal(
+            index.max_up[gene, model.order], model.max_chain_up
+        )
+        np.testing.assert_array_equal(
+            index.max_down[gene, model.order], model.max_chain_down
+        )
+
+
+@given(matrices_and_thresholds(), gammas)
+@settings(max_examples=300, deadline=None)
+def test_index_tables_equal_per_gene_models(case, gamma):
+    """The columnar index build agrees with the per-gene RWaveModel."""
+    matrix, thresholds = case
+    assert_tables_match_models(
+        RWaveIndex(matrix, gamma, thresholds=thresholds)
+    )
+
+
+@pytest.mark.parametrize("n_genes", [511, 512, 513, 1025])
+def test_index_tables_cross_chunk_boundaries(n_genes):
+    """Gene counts around the build's 512-gene chunk."""
+    rng = np.random.default_rng(n_genes)
+    values = np.round(rng.normal(size=(n_genes, 9)), 1)
+    values[::7] = 0.5  # constant rows: zero threshold, no regulation
+    assert_tables_match_models(RWaveIndex(ExpressionMatrix(values), 0.2))
+
+
 def test_contracts_reject_embedded_pointers():
     """An embedded pointer pair must trip the Definition 3.1 check."""
     from repro.core.rwave import RegulationPointer

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.rwave import RWaveIndex
@@ -48,6 +49,22 @@ class TestIndexArtifacts:
         assert stats["index_misses"] == 1
         assert stats["index_stores"] == 1
         assert stats["index_hits"] == 1
+
+    def test_legacy_state_with_models_loads(self, cache, running_example):
+        """Index pickles whose state still carries every gene's model
+        (the layout before the index kept only its tables) still load."""
+        digest = matrix_digest(running_example)
+        legacy = RWaveIndex(running_example, 0.15)
+        legacy.models = tuple(legacy.model(i) for i in range(len(legacy)))
+        cache.put_index(digest, 0.15, legacy)
+        assert b"models" in next(cache.root.glob("index-*.pkl")).read_bytes()
+        again = cache.get_index(digest, 0.15)
+        assert again is not None
+        assert not hasattr(again, "models")
+        fresh = RWaveIndex(running_example, 0.15)
+        np.testing.assert_array_equal(again.thresholds, fresh.thresholds)
+        np.testing.assert_array_equal(again.max_up, fresh.max_up)
+        np.testing.assert_array_equal(again.max_down, fresh.max_down)
 
 
 class TestResultArtifacts:

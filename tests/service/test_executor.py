@@ -209,6 +209,34 @@ class TestFailurePaths:
             )
         assert set(info.value.partial_clusters) >= set(seen)
 
+    def test_stop_honoured_between_completions_of_one_wait(
+        self, synthetic, synthetic_params, monkeypatch
+    ):
+        """Shards that one ``wait()`` returns together are still separate
+        shard boundaries: a stop requested by the first completion
+        cancels before the others are recorded."""
+        from concurrent.futures import ALL_COMPLETED, wait
+
+        from repro.service import executor
+
+        monkeypatch.setattr(
+            executor,
+            "wait",
+            lambda futures, timeout, return_when: wait(
+                futures, return_when=ALL_COMPLETED
+            ),
+        )
+        seen = []
+        with pytest.raises(MiningCancelled):
+            executor.mine_sharded_outcome(
+                synthetic,
+                synthetic_params,
+                n_workers=2,
+                on_shard_complete=lambda shard: seen.append(shard[0]),
+                should_stop=lambda: bool(seen),
+            )
+        assert len(seen) == 1
+
     def test_fast_path_still_used_without_resilience_options(
         self, running_example, paper_params
     ):
