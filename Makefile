@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage bench bench-quick bench-regression examples serve-smoke chaos-smoke trace-smoke fleet-smoke load-smoke incremental-smoke lint lint-full typecheck clean
+.PHONY: install test coverage bench bench-quick bench-regression examples serve-smoke chaos-smoke trace-smoke fleet-smoke load-smoke incremental-smoke lint lint-full typecheck src-delta clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -104,6 +104,14 @@ typecheck:
 	else \
 		echo "mypy is not installed; skipping (pip install mypy)"; \
 	fi
+
+# Lines added, removed and net under src/ between $(BASE) and the
+# working tree (new files count once staged) — the figure every
+# CHANGES.md entry reports.  `make src-delta BASE=<commit>` measures a
+# whole change; the default BASE=HEAD shows what is not yet committed.
+BASE ?= HEAD
+src-delta:
+	@git diff --numstat $(BASE) -- src | awk '{added += $$1; removed += $$2} END {printf "src/: +%d -%d, net %+d lines\n", added, removed, added - removed}'
 
 clean:
 	rm -rf .pytest_cache .benchmarks build dist *.egg-info

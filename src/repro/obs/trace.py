@@ -389,6 +389,8 @@ def load_spans(path: Union[str, Path]) -> List[Dict[str, Any]]:
 
 
 _PHASES = ("candidates", "windows", "emit")
+#: span name -> per-shard table status of shards answered without mining
+_RESTORED_SHARDS = {"shard.resumed": "resumed", "shard.reused": "reused"}
 
 
 def _format_seconds(value: float) -> str:
@@ -414,9 +416,11 @@ def _summarize_one(spans: Sequence[Mapping[str, Any]]) -> str:
         )
 
     shard_spans = [s for s in spans if s.get("name") == "shard"]
-    resumed = [s for s in spans if s.get("name") == "shard.resumed"]
+    # Shards answered without mining: this job's checkpoints and shards
+    # stitched from a revision's parent.
+    restored = [s for s in spans if s.get("name") in _RESTORED_SHARDS]
     phase_totals = {phase: 0.0 for phase in _PHASES}
-    for span in shard_spans + resumed:
+    for span in shard_spans + restored:
         attrs = span.get("attributes", {})
         if not isinstance(attrs, dict):
             continue
@@ -440,7 +444,7 @@ def _summarize_one(spans: Sequence[Mapping[str, Any]]) -> str:
         row = per_shard.setdefault(
             shard,
             {"attempts": 0, "ok": False, "wall": 0.0, "nodes": 0,
-             "clusters": 0, "resumed": False},
+             "clusters": 0, "status": None},
         )
         row["attempts"] += 1
         row["wall"] += float(span.get("duration_s") or 0.0)
@@ -448,7 +452,7 @@ def _summarize_one(spans: Sequence[Mapping[str, Any]]) -> str:
             row["ok"] = True
             row["nodes"] = int(attrs.get("nodes_expanded", 0))
             row["clusters"] = int(attrs.get("clusters_emitted", 0))
-    for span in resumed:
+    for span in restored:
         attrs = span.get("attributes", {})
         if not isinstance(attrs, dict) or "shard" not in attrs:
             continue
@@ -459,7 +463,7 @@ def _summarize_one(spans: Sequence[Mapping[str, Any]]) -> str:
             "wall": 0.0,
             "nodes": int(attrs.get("nodes_expanded", 0)),
             "clusters": int(attrs.get("clusters_emitted", 0)),
-            "resumed": True,
+            "status": _RESTORED_SHARDS[str(span.get("name"))],
         }
     if per_shard:
         lines.append(
@@ -468,12 +472,7 @@ def _summarize_one(spans: Sequence[Mapping[str, Any]]) -> str:
         )
         for shard in sorted(per_shard):
             row = per_shard[shard]
-            if row["resumed"]:
-                status = "resumed"
-            elif row["ok"]:
-                status = "ok"
-            else:
-                status = "lost"
+            status = row["status"] or ("ok" if row["ok"] else "lost")
             lines.append(
                 f"{shard:>5}  {row['attempts']:>8}  {status:<8}  "
                 f"{_format_seconds(row['wall']):>9}  {row['nodes']:>8}  "
@@ -482,7 +481,7 @@ def _summarize_one(spans: Sequence[Mapping[str, Any]]) -> str:
 
     other = [
         s for s in spans
-        if s.get("name") not in ("shard", "shard.resumed")
+        if s.get("name") != "shard" and s.get("name") not in _RESTORED_SHARDS
         and s.get("parent_id") is not None
     ]
     for span in other:

@@ -22,6 +22,11 @@ The cache is a directory of artifact files plus a ``manifest.json``
 recording sizes and last-use ordering; total bytes are bounded by
 evicting least-recently-used entries.  Everything is guarded by one
 lock, so HTTP threads and the execution worker can share an instance.
+
+Every execution path — the daemon's jobs and a fleet node's leases —
+obtains its index and kernel through :meth:`ArtifactCache.resolve`:
+cache hit, else a delta update of the parent matrix's artifact, else a
+cold build, storing whatever it built.
 """
 
 # The cache lock deliberately serializes artifact/manifest file I/O —
@@ -39,18 +44,27 @@ import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Set, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.kernels import RegulationKernel
 from repro.core.rwave import RWaveIndex
+from repro.incremental.delta import MatrixDelta
+from repro.incremental.update import update_index, update_kernel
+from repro.matrix.expression import ExpressionMatrix
 from repro.service.resilience import FaultKind, FaultPlan
 
 __all__ = [
     "ArtifactCache",
     "CacheStats",
     "DEFAULT_MAX_BYTES",
+    "Lineage",
     "kernel_cache_key",
 ]
+
+#: A revised matrix's ``(parent_digest, parent_matrix, delta)`` — what
+#: :meth:`ArtifactCache.resolve` needs to delta-update the parent's
+#: artifacts instead of building cold.
+Lineage = Tuple[str, ExpressionMatrix, MatrixDelta]
 
 #: Default size bound: an index pickles to about three times its
 #: matrix's float bytes (about 8 MB at 8000x40, 1.2 MB for the 2884x17
@@ -111,6 +125,8 @@ class _ManifestEntry:
 
 #: Index/kernel keys embed the matrix digest; results do not.
 _ARTIFACT_KEY = re.compile(r"^(?:index|kernel)-([0-9a-f]{64})-gamma-")
+#: The class a pickled artifact of each kind must unpickle to.
+_ARTIFACT_TYPES = {"index": RWaveIndex, "kernel": RegulationKernel}
 
 
 def _key_digest(key: str) -> Optional[str]:
@@ -118,19 +134,15 @@ def _key_digest(key: str) -> Optional[str]:
     return match.group(1) if match else None
 
 
-def _index_key(matrix_digest: str, gamma: float) -> str:
-    return f"index-{matrix_digest}-gamma-{float(gamma)!r}"
-
-
-def _kernel_key(matrix_digest: str, gamma: float) -> str:
-    return f"kernel-{matrix_digest}-gamma-{float(gamma)!r}"
+def _artifact_key(kind: str, matrix_digest: str, gamma: float) -> str:
+    return f"{kind}-{matrix_digest}-gamma-{float(gamma)!r}"
 
 
 def kernel_cache_key(matrix_digest: str, gamma: float) -> str:
     """The cache key of a kernel artifact — doubles as the fleet's
     shard-affinity token: a node advertising this key already built
     the (matrix, gamma) kernel (docs/distributed.md)."""
-    return _kernel_key(matrix_digest, gamma)
+    return _artifact_key("kernel", matrix_digest, gamma)
 
 
 def _result_key(job_id: str) -> str:
@@ -371,32 +383,49 @@ class ArtifactCache:
             return {k: e.size for k, e in self._manifest.items()}
 
     # ------------------------------------------------------------------
-    # RWave indexes
+    # RWave indexes and regulation kernels
     # ------------------------------------------------------------------
+
+    def _get_pickled(self, kind: str, matrix_digest: str, gamma: float) -> Any:
+        """The unpickled ``kind`` artifact of (digest, gamma), or ``None``."""
+        key = _artifact_key(kind, matrix_digest, gamma)
+        data = self._load(key)
+        artifact = None
+        if data is not None:
+            try:
+                artifact = pickle.loads(data)
+            except (pickle.UnpicklingError, EOFError, AttributeError,
+                    ImportError):
+                # A corrupt or stale artifact is a miss, not an error.
+                with self._lock:
+                    self._forget(key)
+                    self._save_manifest()
+        if not isinstance(artifact, _ARTIFACT_TYPES[kind]):
+            self._bump(f"{kind}_misses")
+            return None
+        self._bump(f"{kind}_hits")
+        return artifact
+
+    def _put_pickled(
+        self,
+        kind: str,
+        matrix_digest: str,
+        gamma: float,
+        artifact: Any,
+        parent_digest: Optional[str],
+    ) -> None:
+        key = _artifact_key(kind, matrix_digest, gamma)
+        data = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
+        self._store(key, f"{key}.pkl", data, parent_digest=parent_digest)
+        self._bump(f"{kind}_stores")
 
     def get_index(
         self, matrix_digest: str, gamma: float
     ) -> Optional[RWaveIndex]:
         """A cached index for (digest, gamma), or ``None`` on a miss."""
-        key = _index_key(matrix_digest, gamma)
-        data = self._load(key)
-        if data is None:
-            self._bump("index_misses")
-            return None
-        try:
-            index = pickle.loads(data)
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError):
-            # A corrupt or stale artifact is a miss, not an error.
-            with self._lock:
-                self._forget(key)
-                self._save_manifest()
-            self._bump("index_misses")
-            return None
-        if not isinstance(index, RWaveIndex):
-            self._bump("index_misses")
-            return None
-        self._bump("index_hits")
+        index: Optional[RWaveIndex] = self._get_pickled(
+            "index", matrix_digest, gamma
+        )
         return index
 
     def put_index(
@@ -412,38 +441,15 @@ class ArtifactCache:
         ``parent_digest`` records lineage when the index was
         delta-updated from another matrix's index (docs/incremental.md).
         """
-        key = _index_key(matrix_digest, gamma)
-        data = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
-        self._store(key, f"{key}.pkl", data, parent_digest=parent_digest)
-        self._bump("index_stores")
-
-    # ------------------------------------------------------------------
-    # Regulation kernels
-    # ------------------------------------------------------------------
+        self._put_pickled("index", matrix_digest, gamma, index, parent_digest)
 
     def get_kernel(
         self, matrix_digest: str, gamma: float
     ) -> Optional[RegulationKernel]:
         """A cached kernel for (digest, gamma), or ``None`` on a miss."""
-        key = _kernel_key(matrix_digest, gamma)
-        data = self._load(key)
-        if data is None:
-            self._bump("kernel_misses")
-            return None
-        try:
-            kernel = pickle.loads(data)
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError):
-            # A corrupt or stale artifact is a miss, not an error.
-            with self._lock:
-                self._forget(key)
-                self._save_manifest()
-            self._bump("kernel_misses")
-            return None
-        if not isinstance(kernel, RegulationKernel):
-            self._bump("kernel_misses")
-            return None
-        self._bump("kernel_hits")
+        kernel: Optional[RegulationKernel] = self._get_pickled(
+            "kernel", matrix_digest, gamma
+        )
         return kernel
 
     def put_kernel(
@@ -459,10 +465,71 @@ class ArtifactCache:
         ``parent_digest`` records lineage when the kernel was
         delta-updated from another matrix's kernel (docs/incremental.md).
         """
-        key = _kernel_key(matrix_digest, gamma)
-        data = pickle.dumps(kernel, protocol=pickle.HIGHEST_PROTOCOL)
-        self._store(key, f"{key}.pkl", data, parent_digest=parent_digest)
-        self._bump("kernel_stores")
+        self._put_pickled(
+            "kernel", matrix_digest, gamma, kernel, parent_digest
+        )
+
+    def resolve(
+        self,
+        kind: str,
+        matrix_digest: str,
+        gamma: float,
+        matrix: ExpressionMatrix,
+        *,
+        index: Optional[RWaveIndex] = None,
+        lineage: Optional[Lineage] = None,
+    ) -> Tuple[Any, str, Dict[str, int]]:
+        """The ``kind`` artifact (``"index"`` or ``"kernel"``) of
+        (digest, gamma), however it has to be obtained.
+
+        Tries a cache hit, then — when ``lineage`` names the matrix's
+        ``(parent_digest, parent_matrix, delta)`` — a delta update of
+        the parent's cached artifact (docs/incremental.md), then a cold
+        build (from ``index`` when one is given).  Whatever was built
+        is stored, tagged with its parent digest when delta-updated;
+        the store is best-effort, so a failed write (e.g. a full disk)
+        still returns the artifact.
+
+        Returns ``(artifact, build, planes)``: ``build`` is
+        ``"cached"``, ``"delta"`` or ``"cold"``, and ``planes`` holds a
+        delta-updated kernel's ``reused_planes`` / ``rebuilt_planes``
+        (empty otherwise).
+        """
+        artifact = self._get_pickled(kind, matrix_digest, gamma)
+        if artifact is not None:
+            return artifact, "cached", {}
+        planes: Dict[str, int] = {}
+        parent_digest: Optional[str] = None
+        if lineage is not None:
+            parent_digest, parent_matrix, delta = lineage
+            parent = self._get_pickled(kind, parent_digest, gamma)
+            try:
+                if parent is not None and kind == "index":
+                    artifact = update_index(parent, matrix, delta).index
+                elif parent is not None:
+                    update = update_kernel(
+                        parent, parent_matrix, matrix, delta, gamma=gamma
+                    )
+                    artifact = update.kernel
+                    planes = {
+                        "reused_planes": update.reused_planes,
+                        "rebuilt_planes": update.rebuilt_planes,
+                    }
+            except (TypeError, ValueError):
+                pass  # the parent does not fit the lineage: build cold
+        build = "delta" if artifact is not None else "cold"
+        if artifact is None:
+            parent_digest = None
+            if index is None:
+                index = RWaveIndex(matrix, gamma)
+            artifact = index if kind == "index" else index.kernel
+        try:
+            self._put_pickled(
+                kind, matrix_digest, gamma, artifact, parent_digest
+            )
+        except OSError:
+            pass  # best-effort: the in-memory artifact still serves
+        return artifact, build, planes
 
     def get_kernel_bytes(
         self, matrix_digest: str, gamma: float
@@ -476,7 +543,7 @@ class ArtifactCache:
         (docs/distributed.md).  Counted as a kernel hit/miss like
         :meth:`get_kernel`.
         """
-        data = self._load(_kernel_key(matrix_digest, gamma))
+        data = self._load(_artifact_key("kernel", matrix_digest, gamma))
         self._bump("kernel_misses" if data is None else "kernel_hits")
         return data
 
@@ -484,7 +551,7 @@ class ArtifactCache:
         self, matrix_digest: str, gamma: float, data: bytes
     ) -> None:
         """Store an already-pickled kernel artifact under (digest, gamma)."""
-        key = _kernel_key(matrix_digest, gamma)
+        key = _artifact_key("kernel", matrix_digest, gamma)
         self._store(key, f"{key}.pkl", data)
         self._bump("kernel_stores")
 

@@ -66,6 +66,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from typing import (
+    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -74,6 +75,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.core.cluster import RegCluster
@@ -106,7 +108,6 @@ __all__ = [
     "mine_sharded",
     "mine_sharded_outcome",
     "merge_shard_results",
-    "make_local_shard_miner",
     "ShardResult",
     "ShardedOutcome",
     "ShardFailure",
@@ -160,12 +161,23 @@ class ShardedOutcome:
     resumed_shards:
         Start conditions answered from the caller-provided ``completed``
         checkpoints instead of being mined, ascending.
+    reused_shards:
+        The ``completed`` shards handed in with a ``completed_origin``
+        (e.g. stitched from a revision's parent job), ascending; they
+        are not in ``resumed_shards``.
     fault_injections:
         Injected faults observed by the driver, counted per
         :class:`~repro.service.resilience.FaultKind` value.  Only
         faults that surface as a catchable :class:`FaultInjected`
         appear (a hard ``kill-worker`` manifests as a broken pool and
         cannot be attributed).
+    provenance:
+        Per shard, where its result came from and in how many
+        attempts: ``{"node": ..., "attempts": n}`` with node
+        ``"local"`` (mined here), a fleet node id, ``"checkpoint"``
+        (resumed), the ``completed_origin`` (reused) or ``None``
+        (missing).  Shards never attempted (a ``max_clusters`` cap
+        reached first) have no entry.
     """
 
     result: MiningResult
@@ -173,7 +185,9 @@ class ShardedOutcome:
     shard_errors: Dict[int, str] = field(default_factory=dict)
     failed_attempts: Dict[int, int] = field(default_factory=dict)
     resumed_shards: List[int] = field(default_factory=list)
+    reused_shards: List[int] = field(default_factory=list)
     fault_injections: Dict[str, int] = field(default_factory=dict)
+    provenance: Dict[int, Dict[str, Any]] = field(default_factory=dict)
 
     @property
     def degraded(self) -> bool:
@@ -292,57 +306,6 @@ def _mine_start(start: int, attempt: int = 0) -> ShardResult:
         return shard
 
 
-def make_local_shard_miner(
-    matrix: ExpressionMatrix,
-    params: MiningParameters,
-    *,
-    prunings: Optional[PruningConfig] = None,
-    index: Optional[RWaveIndex] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    should_stop: Optional[Callable[[], bool]] = None,
-    tracer: Optional[Tracer] = None,
-    trace_parent: Optional[SpanContext] = None,
-) -> Callable[[int, int], ShardResult]:
-    """A ``(shard, attempt) -> ShardResult`` closure mining in-process.
-
-    The fleet coordinator's local-mining seam
-    (:mod:`repro.service.fleet`): one miner is built lazily on the
-    first call (so a job fully served by remote nodes never pays for
-    it) and reused across shards, exactly like a pool worker.  Each
-    call mines one shard under a ``shard`` span tagged
-    ``node="local"``, applying the fault plan's shard faults with
-    in-process semantics (``kill-worker`` downgrades to a clean
-    failure — there is no worker process to kill).
-    """
-    active_tracer = tracer if tracer is not None else NULL_TRACER
-    box: Dict[str, RegClusterMiner] = {}
-
-    def mine_one(shard: int, attempt: int) -> ShardResult:
-        miner = box.get("miner")
-        if miner is None:
-            miner = RegClusterMiner(
-                matrix,
-                params,
-                prunings=prunings,
-                index=index,
-                should_stop=should_stop,
-            )
-            box["miner"] = miner
-        with active_tracer.span(
-            "shard",
-            parent=trace_parent,
-            attributes={"shard": shard, "attempt": attempt,
-                        "node": "local"},
-        ) as span:
-            _apply_shard_faults(fault_plan, shard, attempt, in_process=True)
-            result = miner.mine(start_conditions=[shard])
-            out = _shard_result(shard, result)
-            _annotate_shard_span(span, out)
-            return out
-
-    return mine_one
-
-
 # ----------------------------------------------------------------------
 # Merge
 # ----------------------------------------------------------------------
@@ -419,25 +382,43 @@ def _pool_context(
 
 
 class _ShardDriver:
-    """Shared bookkeeping of the resilient in-process and pool drivers."""
+    """The shard ledger behind every execution path.
+
+    The in-process, pool and fleet drivers (:func:`_drive_in_process`,
+    :func:`_drive_pool` and :meth:`repro.service.fleet.FleetState
+    .run_job`) only decide *where* each shard runs.  The ledger owns
+    everything else about a job's shards: the shard universe and its
+    checkpoint resume, the ``shard.resumed`` / ``shard.reused`` spans,
+    attempt and fault accounting, interrupts, progress, per-shard
+    provenance and the final merge.  It also holds the in-process shard
+    body (:meth:`in_process_miner`, :meth:`mine_here`) shared by
+    ``n_workers=1`` and the fleet coordinator's local mining.
+    """
 
     def __init__(
         self,
         matrix: ExpressionMatrix,
         params: MiningParameters,
         *,
-        retry: Optional[RetryPolicy],
-        timeout: Optional[float],
-        completed: Optional[Mapping[int, ShardResult]],
-        on_shard_complete: Optional[Callable[[ShardResult], None]],
-        progress_callback: Optional[ProgressCallback],
-        should_stop: Optional[Callable[[], bool]],
+        prunings: Optional[PruningConfig] = None,
+        index: Optional[RWaveIndex] = None,
+        fault_plan: Optional[FaultPlan] = None,
+        retry: Optional[RetryPolicy] = None,
+        timeout: Optional[float] = None,
+        completed: Optional[Mapping[int, ShardResult]] = None,
+        completed_origin: Optional[Mapping[int, str]] = None,
+        on_shard_complete: Optional[Callable[[ShardResult], None]] = None,
+        progress_callback: Optional[ProgressCallback] = None,
+        should_stop: Optional[Callable[[], bool]] = None,
         tracer: Optional[Tracer] = None,
         trace_parent: Optional[SpanContext] = None,
         shards: Optional[Sequence[int]] = None,
-        completed_origin: Optional[Mapping[int, str]] = None,
     ) -> None:
+        self.matrix = matrix
         self.params = params
+        self.prunings = prunings
+        self.index = index
+        self.fault_plan = fault_plan
         self.retry = retry
         self.max_retries = 0 if retry is None else retry.max_retries
         self.deadline = (
@@ -487,14 +468,24 @@ class _ShardDriver:
         self.clusters_so_far = sum(
             len(shard[1]) for shard in self.resumed.values()
         )
-        origins = dict(completed_origin or {})
+        #: resumed shards that came from elsewhere (e.g. ``"parent"``)
+        self.origins: Dict[int, str] = {
+            int(start): origin
+            for start, origin in (completed_origin or {}).items()
+            if int(start) in self.resumed
+        }
+        self.provenance: Dict[int, Dict[str, Any]] = {}
         for start in sorted(self.resumed):
             __, clusters, stats = self.resumed[start]
             # Shards handed in from a *parent* job's result (revision
             # stitching, docs/incremental.md) trace as "shard.reused"
             # with their origin; ordinary checkpoints of this job keep
             # tracing as "shard.resumed".
-            origin = origins.get(start)
+            origin = self.origins.get(start)
+            self.provenance[start] = {
+                "node": origin if origin is not None else "checkpoint",
+                "attempts": 0,
+            }
             span = self.tracer.span(
                 "shard.reused" if origin is not None else "shard.resumed",
                 parent=self.trace_parent,
@@ -530,24 +521,120 @@ class _ShardDriver:
                 partial_clusters=self.partial_clusters(),
             )
 
-    def record_shard(self, shard: ShardResult) -> None:
+    def _probe(self) -> bool:
+        """The miner's per-node stop probe: external stop or deadline."""
+        if self.should_stop is not None and self.should_stop():
+            return True
+        return self.deadline is not None and time.monotonic() > self.deadline
+
+    def _on_node(self, event: str, nodes: int) -> None:
+        assert self.progress_callback is not None
+        self.progress_callback(event, self.nodes_so_far + nodes)
+
+    def in_process_miner(self) -> RegClusterMiner:
+        """A miner for :meth:`mine_here` whose hooks report to this ledger.
+
+        Its hooks offset node counts by the shards already recorded, so
+        observers see one monotonically increasing count across the
+        job, and poll the stop probe and the deadline once per search
+        node.  The driver that mines in-process owns it and reuses it
+        across shards, like a pool worker's; the ledger keeps no
+        reference, so ledger and miner never form a cycle that would
+        hold a finished job's index and kernel until a garbage
+        collection.
+        """
+        return RegClusterMiner(
+            self.matrix,
+            self.params,
+            prunings=self.prunings,
+            index=self.index,
+            progress_callback=(
+                self._on_node if self.progress_callback is not None else None
+            ),
+            should_stop=self._probe if (
+                self.should_stop is not None or self.deadline is not None
+            ) else None,
+        )
+
+    def mine_here(
+        self,
+        miner: RegClusterMiner,
+        start: int,
+        attempt: int,
+        *,
+        node: Optional[str] = None,
+    ) -> ShardResult:
+        """Mine one attempt at one shard on the calling thread.
+
+        ``miner`` comes from :meth:`in_process_miner`.  A stop probe
+        firing mid-shard raises
+        :class:`~repro.core.miner.MiningCancelled` (external stop) or
+        :class:`~repro.core.miner.MiningTimeout` (deadline), carrying
+        the job's partial clusters.  The fault plan's shard faults
+        apply with in-process semantics, raising :class:`FaultInjected`
+        (``kill-worker`` downgrades to a clean failure — there is no
+        worker process to kill).  ``node`` tags the ``shard`` span.
+        """
+        attributes: Dict[str, Any] = {"shard": start, "attempt": attempt}
+        if node is not None:
+            attributes["node"] = node
+        try:
+            with self.tracer.span(
+                "shard", parent=self.trace_parent, attributes=attributes
+            ) as span:
+                _apply_shard_faults(
+                    self.fault_plan, start, attempt, in_process=True
+                )
+                result = miner.mine(start_conditions=[start])
+                shard = _shard_result(start, result)
+                _annotate_shard_span(span, shard)
+                return shard
+        except MiningTimeout:
+            raise
+        except MiningCancelled as error:
+            # The miner's probe fired mid-shard: classify it.  An
+            # external stop wins over a deadline that raced it.
+            partials = self.partial_clusters() + error.partial_clusters
+            if self.should_stop is not None and self.should_stop():
+                raise MiningCancelled(
+                    str(error), partial_clusters=partials
+                ) from None
+            raise MiningTimeout(
+                f"shard {start} exceeded the job's {self.timeout:g}s budget",
+                partial_clusters=partials,
+            ) from None
+
+    def record_shard(self, shard: ShardResult, node: str = "local") -> None:
+        """Book one freshly mined shard: provenance, checkpoint, progress."""
+        start, clusters, stats = shard
         self.shards.append(shard)
-        self.nodes_so_far += int(shard[2].get("nodes_expanded", 0))
-        self.clusters_so_far += len(shard[1])
+        self.provenance[start] = {
+            "node": node,
+            "attempts": self.failed_attempts.get(start, 0) + 1,
+        }
+        self.nodes_so_far += int(stats.get("nodes_expanded", 0))
+        self.clusters_so_far += len(clusters)
         if self.on_shard_complete is not None:
             with self.tracer.span(
                 "checkpoint",
                 parent=self.trace_parent,
-                attributes={"shard": shard[0]},
+                attributes={"shard": start},
             ):
                 self.on_shard_complete(shard)
         if self.progress_callback is not None:
             self.progress_callback("expanded", self.nodes_so_far)
-            if shard[1]:
+            if clusters:
                 self.progress_callback("emitted", self.nodes_so_far)
 
-    def record_failure(self, start: int, error: BaseException) -> bool:
-        """Count one failed attempt; ``True`` if the shard may retry."""
+    def record_failure(
+        self, start: int, error: Union[BaseException, str]
+    ) -> bool:
+        """Count one failed attempt; ``True`` if the shard may retry.
+
+        ``error`` is the exception the attempt raised, or the message
+        of a failure observed elsewhere (an expired fleet lease, a
+        node's report).
+        """
         tries = self.failed_attempts.get(start, 0) + 1
         self.failed_attempts[start] = tries
         kind = getattr(error, "kind", None)
@@ -555,28 +642,34 @@ class _ShardDriver:
             self.fault_injections[kind.value] = (
                 self.fault_injections.get(kind.value, 0) + 1
             )
-        will_retry = tries <= self.max_retries
-        if will_retry:
+        message = (
+            error if isinstance(error, str)
+            else f"{type(error).__name__}: {error}"
+        )
+        if tries <= self.max_retries:
             _LOG.warning(
                 "shard.failed",
                 shard=start,
                 attempt=tries - 1,
-                error=f"{type(error).__name__}: {error}",
+                error=message,
                 will_retry=True,
                 backoff_s=(
                     0.0 if self.retry is None
                     else self.retry.backoff(start, tries - 1)
                 ),
             )
-        else:
-            self.missing[start] = f"{type(error).__name__}: {error}"
-            _LOG.error(
-                "shard.lost",
-                shard=start,
-                attempts=tries,
-                error=self.missing[start],
-            )
-        return will_retry
+            return True
+        self.missing[start] = message
+        self.provenance[start] = {"node": None, "attempts": tries}
+        _LOG.error("shard.lost", shard=start, attempts=tries, error=message)
+        return False
+
+    def retry_time(self, start: int) -> float:
+        """Monotonic time at which a failed shard's backoff ends."""
+        if self.retry is None:
+            return time.monotonic()
+        attempt = self.failed_attempts[start] - 1
+        return time.monotonic() + self.retry.backoff(start, attempt)
 
     def outcome(self) -> ShardedOutcome:
         return ShardedOutcome(
@@ -584,51 +677,21 @@ class _ShardDriver:
             missing_shards=sorted(self.missing),
             shard_errors=dict(self.missing),
             failed_attempts=dict(self.failed_attempts),
-            resumed_shards=sorted(self.resumed),
+            resumed_shards=sorted(set(self.resumed) - set(self.origins)),
+            reused_shards=sorted(self.origins),
             fault_injections=dict(self.fault_injections),
+            provenance=dict(sorted(self.provenance.items())),
         )
 
 
-def _drive_in_process(
-    driver: _ShardDriver,
-    matrix: ExpressionMatrix,
-    params: MiningParameters,
-    prunings: Optional[PruningConfig],
-    index: Optional[RWaveIndex],
-    fault_plan: Optional[FaultPlan],
-) -> ShardedOutcome:
+def _drive_in_process(driver: _ShardDriver) -> ShardedOutcome:
     """Mine shard-by-shard on the calling thread (``n_workers=1``).
 
-    Progress and cancellation keep node granularity: the miner's own
-    hooks are wrapped to offset node counts by the shards already done
-    (including checkpointed ones), so observers see one monotonically
-    increasing count across the whole job.
+    Progress and cancellation keep node granularity
+    (:meth:`_ShardDriver.in_process_miner`).
     """
-
-    def probe() -> bool:
-        if driver.should_stop is not None and driver.should_stop():
-            return True
-        return (
-            driver.deadline is not None
-            and time.monotonic() > driver.deadline
-        )
-
-    def on_node(event: str, nodes: int) -> None:
-        if driver.progress_callback is not None:
-            driver.progress_callback(event, driver.nodes_so_far + nodes)
-
-    miner = RegClusterMiner(
-        matrix,
-        params,
-        prunings=prunings,
-        index=index,
-        progress_callback=(
-            on_node if driver.progress_callback is not None else None
-        ),
-        should_stop=probe if (
-            driver.should_stop is not None or driver.deadline is not None
-        ) else None,
-    )
+    params = driver.params
+    miner = driver.in_process_miner()
     for start in driver.pending:
         # Ascending starts + the merge cap make stopping here exact: the
         # single-process search would not have visited later starts
@@ -642,34 +705,7 @@ def _drive_in_process(
         while True:
             driver.check_interrupts(f"before shard {start}")
             try:
-                with driver.tracer.span(
-                    "shard",
-                    parent=driver.trace_parent,
-                    attributes={"shard": start, "attempt": attempt},
-                ) as span:
-                    _apply_shard_faults(
-                        fault_plan, start, attempt, in_process=True
-                    )
-                    result = miner.mine(start_conditions=[start])
-                    shard = _shard_result(start, result)
-                    _annotate_shard_span(span, shard)
-            except MiningTimeout:
-                raise
-            except MiningCancelled as error:
-                # The miner's probe fired mid-shard: classify it.  An
-                # external stop wins over a deadline that raced it.
-                partials = (
-                    driver.partial_clusters() + error.partial_clusters
-                )
-                if driver.should_stop is not None and driver.should_stop():
-                    raise MiningCancelled(
-                        str(error), partial_clusters=partials
-                    ) from None
-                raise MiningTimeout(
-                    f"shard {start} exceeded the job's "
-                    f"{driver.timeout:g}s budget",
-                    partial_clusters=partials,
-                ) from None
+                shard = driver.mine_here(miner, start, attempt)
             except FaultInjected as error:
                 if not driver.record_failure(start, error):
                     break
@@ -683,14 +719,7 @@ def _drive_in_process(
 
 
 def _drive_pool(
-    driver: _ShardDriver,
-    matrix: ExpressionMatrix,
-    params: MiningParameters,
-    prunings: Optional[PruningConfig],
-    index: Optional[RWaveIndex],
-    fault_plan: Optional[FaultPlan],
-    n_workers: int,
-    start_method: Optional[str],
+    driver: _ShardDriver, n_workers: int, start_method: Optional[str]
 ) -> ShardedOutcome:
     """Mine shards on a worker pool, surviving worker death.
 
@@ -708,15 +737,18 @@ def _drive_pool(
         None if driver.trace_parent is None
         else driver.tracer.worker_config(driver.trace_parent)
     )
+    initargs = (
+        driver.matrix, driver.params, driver.prunings, driver.index,
+        driver.fault_plan, trace_config,
+    )
+    n_shards = driver.matrix.n_conditions
 
     def make_pool() -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=n_workers,
             mp_context=context,
             initializer=_init_worker,
-            initargs=(
-                matrix, params, prunings, index, fault_plan, trace_config,
-            ),
+            initargs=initargs,
         )
 
     ready: List[int] = list(driver.pending)
@@ -734,8 +766,7 @@ def _drive_pool(
                 futures[pool.submit(_mine_start, start, attempt)] = start
             ready.clear()
             driver.check_interrupts(
-                f"after {len(driver.shards)} of "
-                f"{matrix.n_conditions} shards"
+                f"after {len(driver.shards)} of {n_shards} shards"
             )
             if not futures:
                 # Everything is waiting out a backoff; nap until the
@@ -752,19 +783,13 @@ def _drive_pool(
                 start = futures.pop(future)
                 try:
                     shard = future.result()
-                except BrokenProcessPool as error:
-                    broken = True
-                    if driver.record_failure(start, error):
-                        retry_at[start] = _retry_time(driver, start)
-                except FaultInjected as error:
-                    if driver.record_failure(start, error):
-                        retry_at[start] = _retry_time(driver, start)
                 except Exception as error:  # reglint: disable=RL103
                     # Any organic worker failure is retried the same
                     # way as an injected one; an exhausted budget
                     # surfaces it in the outcome's shard_errors.
+                    broken = broken or isinstance(error, BrokenProcessPool)
                     if driver.record_failure(start, error):
-                        retry_at[start] = _retry_time(driver, start)
+                        retry_at[start] = driver.retry_time(start)
                 else:
                     driver.record_shard(shard)
                     if futures:
@@ -772,7 +797,7 @@ def _drive_pool(
                         # are still separate shard boundaries.
                         driver.check_interrupts(
                             f"after {len(driver.shards)} of "
-                            f"{matrix.n_conditions} shards"
+                            f"{n_shards} shards"
                         )
             if broken:
                 # The executor is unusable: salvage finished futures,
@@ -782,7 +807,7 @@ def _drive_pool(
                         shard = future.result(timeout=0)
                     except Exception as error:  # reglint: disable=RL103
                         if driver.record_failure(start, error):
-                            retry_at[start] = _retry_time(driver, start)
+                            retry_at[start] = driver.retry_time(start)
                     else:
                         driver.record_shard(shard)
                 futures.clear()
@@ -796,15 +821,6 @@ def _drive_pool(
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
     return driver.outcome()
-
-
-def _retry_time(driver: _ShardDriver, start: int) -> float:
-    attempt = driver.failed_attempts[start] - 1
-    delay = (
-        0.0 if driver.retry is None
-        else driver.retry.backoff(start, attempt)
-    )
-    return time.monotonic() + delay
 
 
 def mine_sharded_outcome(
@@ -853,7 +869,9 @@ def mine_sharded_outcome(
         Optional provenance per ``completed`` shard (e.g. ``"parent"``
         for shards stitched from a revision's parent job).  Shards with
         an origin trace as ``shard.reused`` instead of
-        ``shard.resumed`` (docs/incremental.md).
+        ``shard.resumed``, are reported in
+        :attr:`ShardedOutcome.reused_shards` and name the origin as
+        their provenance node (docs/incremental.md).
     on_shard_complete:
         Invoked with every freshly mined :data:`ShardResult` the moment
         it completes (checkpoint-persistence seam).  Not called for
@@ -887,25 +905,23 @@ def mine_sharded_outcome(
     driver = _ShardDriver(
         matrix,
         params,
+        prunings=prunings,
+        index=index,
+        fault_plan=fault_plan,
         retry=retry,
         timeout=timeout,
         completed=completed,
+        completed_origin=completed_origin,
         on_shard_complete=on_shard_complete,
         progress_callback=progress_callback,
         should_stop=should_stop,
         tracer=tracer,
         trace_parent=trace_parent,
         shards=shards,
-        completed_origin=completed_origin,
     )
     if n_workers == 1:
-        return _drive_in_process(
-            driver, matrix, params, prunings, index, fault_plan
-        )
-    return _drive_pool(
-        driver, matrix, params, prunings, index, fault_plan,
-        n_workers, start_method,
-    )
+        return _drive_in_process(driver)
+    return _drive_pool(driver, n_workers, start_method)
 
 
 def mine_sharded(

@@ -8,9 +8,9 @@ machines: the daemon becomes a **coordinator** handing out *shard
 leases* over HTTP/JSON, and **node daemons** (``reg-cluster node``)
 pull leases, mine their shards locally with the very same
 :func:`~repro.service.executor.mine_sharded_outcome`, and post the
-results back.  Because remote results land in the same per-shard
-:class:`~repro.service.jobs.JobStore` checkpoints and flow through the
-same merge, a distributed job resumes, degrades and — crucially —
+results back.  A fleet job's shards are booked by the executor's shard
+ledger — the one the in-process and pool drivers use — so a distributed
+job resumes, degrades, traces, reports provenance and — crucially —
 produces *byte-identical* output to a local one (docs/distributed.md).
 
 Coordinator side
@@ -54,10 +54,12 @@ via ``mine_sharded_outcome(..., shards=leased)`` — reusing the entire
 retry-free single-machine pipeline, including its tracing.
 
 Lock discipline (docs/robustness.md, "Concurrency model"): no file
-I/O, sleeping, or network calls ever run under the fleet lock.
-Checkpoint persistence and trace emission happen outside it, bracketed
-by a per-job ``persisting`` counter so a job cannot finish while a
-completion is still being persisted.
+I/O, sleeping, or network calls ever run under the fleet lock.  Handler
+threads only move shards between lease states and charge failures to
+the job's shard ledger; an accepted completion waits in the job's
+inbox until the :meth:`FleetState.run_job` thread books it, so its
+checkpoint persistence and trace emission happen there, outside the
+lock, before the job can finish.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ from typing import (
 import numpy as np
 
 from repro.core.cluster import RegCluster
-from repro.core.miner import MiningCancelled, MiningTimeout, ProgressCallback
+from repro.core.miner import ProgressCallback, RegClusterMiner
 from repro.core.params import MiningParameters
 from repro.core.rwave import RWaveIndex
 from repro.matrix.expression import ExpressionMatrix
@@ -101,11 +103,11 @@ from repro.service.cache import ArtifactCache, kernel_cache_key
 from repro.service.executor import (
     ShardResult,
     ShardedOutcome,
-    merge_shard_results,
+    _ShardDriver,
     mine_sharded_outcome,
 )
 from repro.service.jobs import parameters_from_dict, parameters_to_dict
-from repro.service.resilience import FaultKind, FaultPlan, RetryPolicy
+from repro.service.resilience import FaultInjected, FaultPlan, RetryPolicy
 
 __all__ = [
     "FleetNode",
@@ -220,55 +222,34 @@ class _FleetStats:
 
 
 class _FleetJob:
-    """Per-job queue state while :meth:`FleetState.run_job` is active."""
+    """Lease state of one job while :meth:`FleetState.run_job` drives it.
+
+    Everything else about the job's shards — resume, attempts, faults,
+    provenance, progress, the merge — lives in its shard ledger, the
+    same one behind the single-machine drivers
+    (:mod:`repro.service.executor`).
+    """
 
     def __init__(
-        self,
-        job_id: str,
-        matrix: ExpressionMatrix,
-        params: MiningParameters,
-        *,
-        matrix_digest: str,
-        completed: Optional[Mapping[int, ShardResult]],
-        on_shard_complete: Optional[Callable[[ShardResult], None]],
-        tracer: Tracer,
-        trace_parent: Optional[SpanContext],
+        self, job_id: str, ledger: _ShardDriver, matrix_digest: str
     ) -> None:
         self.job_id = job_id
-        self.params = params
-        self.params_dict = parameters_to_dict(params)
+        self.ledger = ledger
         self.matrix_digest = matrix_digest
-        self.kernel_key = kernel_cache_key(matrix_digest, params.gamma)
-        self.on_shard_complete = on_shard_complete
-        self.tracer = tracer
-        self.trace_parent = trace_parent
-        self.resumed: Dict[int, ShardResult] = {}
-        for start, shard in (completed or {}).items():
-            start = int(start)
-            if not 0 <= start < matrix.n_conditions:
-                raise ValueError(
-                    f"checkpointed shard {start} out of range for a matrix "
-                    f"with {matrix.n_conditions} conditions"
-                )
-            self.resumed[start] = shard
-        self.pending: List[int] = [
-            start
-            for start in range(matrix.n_conditions)
-            if start not in self.resumed
-        ]
+        self.kernel_key = kernel_cache_key(matrix_digest, ledger.params.gamma)
+        self.pending: List[int] = list(ledger.pending)
         #: monotonic time before which a re-queued shard must not be
         #: leased again (the RetryPolicy backoff, enforced queue-side).
         self.retry_at: Dict[int, float] = {}
         self.leases: Dict[int, ShardLease] = {}
-        self.results: Dict[int, ShardResult] = {}
-        self.provenance: Dict[int, Dict[str, Any]] = {}
-        self.failed_attempts: Dict[int, int] = {}
-        self.missing: Dict[int, str] = {}
-        self.fault_injections: Dict[str, int] = {}
-        #: completions accepted but whose checkpoint/trace persistence
-        #: is still in flight on a handler thread; the job cannot
-        #: finish until this drains back to zero.
-        self.persisting = 0
+        #: shards with a result: resumed, or a completion accepted
+        self.done: Set[int] = set(ledger.resumed)
+        #: accepted reports — (shard, node, spans), shard ``None`` for
+        #: a failure — whose spans and result the run_job thread has yet
+        #: to emit and book into the ledger
+        self.inbox: List[
+            Tuple[Optional[ShardResult], str, List[Dict[str, Any]]]
+        ] = []
 
     def due_pending(self, now: float) -> List[int]:
         """Shards leasable right now (pending and past any backoff)."""
@@ -279,41 +260,7 @@ class _FleetJob:
         ]
 
     def finished(self) -> bool:
-        return (
-            not self.pending
-            and not self.leases
-            and self.persisting == 0
-        )
-
-    def all_shards(self) -> List[ShardResult]:
-        return list(self.resumed.values()) + list(self.results.values())
-
-    def partial_clusters(self) -> List[RegCluster]:
-        return merge_shard_results(self.all_shards(), self.params).clusters
-
-    def outcome(self) -> ShardedOutcome:
-        return ShardedOutcome(
-            result=merge_shard_results(self.all_shards(), self.params),
-            missing_shards=sorted(self.missing),
-            shard_errors=dict(self.missing),
-            failed_attempts=dict(self.failed_attempts),
-            resumed_shards=sorted(self.resumed),
-            fault_injections=dict(self.fault_injections),
-        )
-
-    def provenance_dict(self) -> Dict[str, Any]:
-        """The job record's ``shard_provenance`` payload."""
-        out: Dict[str, Any] = {}
-        for start in sorted(self.resumed):
-            out[str(start)] = {"node": "checkpoint", "attempts": 0}
-        for start in sorted(self.provenance):
-            out[str(start)] = dict(self.provenance[start])
-        for start in sorted(self.missing):
-            out[str(start)] = {
-                "node": None,
-                "attempts": self.failed_attempts.get(start, 0),
-            }
-        return out
+        return not self.pending and not self.leases and not self.inbox
 
 
 class FleetState:
@@ -379,29 +326,16 @@ class FleetState:
         return node
 
     def _fail_shard_locked(
-        self,
-        job: _FleetJob,
-        start: int,
-        message: str,
-        *,
-        kind: Optional[str] = None,
-        now: float,
+        self, job: _FleetJob, start: int, error: Union[BaseException, str]
     ) -> bool:
         """Charge one failed attempt; ``True`` if the shard re-queued."""
         job.leases.pop(start, None)
-        tries = job.failed_attempts.get(start, 0) + 1
-        job.failed_attempts[start] = tries
-        if kind is not None and kind in {k.value for k in FaultKind}:
-            job.fault_injections[kind] = (
-                job.fault_injections.get(kind, 0) + 1
-            )
-        if tries <= self.retry.max_retries:
-            job.pending.append(start)
-            job.pending.sort()
-            job.retry_at[start] = now + self.retry.backoff(start, tries - 1)
-            return True
-        job.missing[start] = message
-        return False
+        if not job.ledger.record_failure(start, error):
+            return False
+        job.pending.append(start)
+        job.pending.sort()
+        job.retry_at[start] = job.ledger.retry_time(start)
+        return True
 
     def _reclaim_locked(self, now: float) -> None:
         """Expire dead leases and re-queue their shards."""
@@ -416,7 +350,6 @@ class FleetState:
                     start,
                     f"lease {lease.lease_id} on node {lease.node_id} "
                     f"expired after {self.lease_ttl:g}s",
-                    now=now,
                 )
                 self._stats.shards_reclaimed += 1
                 _LOG.warning(
@@ -431,30 +364,45 @@ class FleetState:
                 self._stats.leases_expired += len(expired_leases)
                 self._cond.notify_all()
 
-    def _complete_shard_locked(
+    def _grant_locked(
         self,
         job: _FleetJob,
-        start: int,
-        shard: ShardResult,
-        *,
-        node: str,
+        starts: Sequence[int],
+        node_id: str,
         now: float,
+        deadline: float,
+    ) -> ShardLease:
+        """Move ``starts`` from the job's queue into one new lease."""
+        lease = ShardLease(
+            lease_id=_new_lease_id(),
+            node_id=node_id,
+            job_id=job.job_id,
+            shards=tuple(starts),
+            granted_at=now,
+            deadline=deadline,
+        )
+        for start in starts:
+            job.pending.remove(start)
+            job.retry_at.pop(start, None)
+            job.leases[start] = lease
+        return lease
+
+    def _accept_locked(
+        self,
+        job: _FleetJob,
+        shard: ShardResult,
+        node: str,
+        spans: List[Dict[str, Any]],
     ) -> None:
-        job.leases.pop(start, None)
-        job.retry_at.pop(start, None)
-        job.pending = [s for s in job.pending if s != start]
-        job.results[start] = shard
-        job.provenance[start] = {
-            "node": node,
-            "attempts": job.failed_attempts.get(start, 0) + 1,
-        }
+        """Take one completed shard off its lease, into the job's inbox."""
+        job.leases.pop(shard[0], None)
+        job.done.add(shard[0])
+        job.inbox.append((shard, node, spans))
         source = "local" if node == "local" else "remote"
         self._stats.shards_completed[source] = (
             self._stats.shards_completed.get(source, 0) + 1
         )
-        if node != "local":
-            info = self._touch_node_locked(node, None, now)
-            info.shards_completed += 1
+        self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # Node-facing protocol (called from HTTP handler threads)
@@ -525,25 +473,17 @@ class FleetState:
                 self._stats.affinity_misses += 1
                 affinity_hit = False
             take = job.due_pending(now)[:budget]
-            lease = ShardLease(
-                lease_id=_new_lease_id(),
-                node_id=node_id,
-                job_id=job.job_id,
-                shards=tuple(take),
-                granted_at=now,
-                deadline=now + self.lease_ttl,
+            lease = self._grant_locked(
+                job, take, node_id, now, now + self.lease_ttl
             )
-            for start in take:
-                job.pending.remove(start)
-                job.retry_at.pop(start, None)
-                job.leases[start] = lease
             self._stats.leases_granted += 1
+            ledger = job.ledger
             trace = (
                 None
-                if job.trace_parent is None or not job.tracer.enabled
+                if ledger.trace_parent is None or not ledger.tracer.enabled
                 else {
-                    "trace_id": job.trace_parent.trace_id,
-                    "span_id": job.trace_parent.span_id,
+                    "trace_id": ledger.trace_parent.trace_id,
+                    "span_id": ledger.trace_parent.span_id,
                 }
             )
             payload = {
@@ -551,11 +491,11 @@ class FleetState:
                 "job_id": job.job_id,
                 "shards": list(take),
                 "attempts": {
-                    str(start): job.failed_attempts.get(start, 0)
+                    str(start): ledger.failed_attempts.get(start, 0)
                     for start in take
                 },
                 "matrix_digest": job.matrix_digest,
-                "parameters": dict(job.params_dict),
+                "parameters": parameters_to_dict(ledger.params),
                 "ttl": self.lease_ttl,
                 "affinity_hit": affinity_hit,
                 "trace": trace,
@@ -592,60 +532,39 @@ class FleetState:
         shard: Optional[ShardResult] = None
         if status == "ok":
             shard = shard_from_wire(payload)  # parse outside the lock
-        spans = payload.get("spans") or []
+        spans: List[Dict[str, Any]] = []
+        for span in payload.get("spans") or []:
+            if isinstance(span, dict):
+                attrs = span.setdefault("attributes", {})
+                if isinstance(attrs, dict):
+                    attrs.setdefault("node", node_id)
+                spans.append(span)
         now = time.monotonic()
         with self._cond:
-            self._touch_node_locked(node_id, None, now)
+            node = self._touch_node_locked(node_id, None, now)
             job = self._jobs.get(job_id)
             if job is None:
                 return self._reject_locked("unknown-job", job_id, start)
-            if start in job.results or start in job.resumed:
+            if start in job.done:
                 return self._reject_locked("duplicate", job_id, start)
             lease = job.leases.get(start)
             if lease is None or lease.lease_id != lease_id:
                 return self._reject_locked("lease-expired", job_id, start)
-            if status != "ok":
+            if shard is None:
                 message = str(payload.get("error") or "node-reported failure")
-                kind = payload.get("kind")
                 requeued = self._fail_shard_locked(
-                    job, start, f"node {node_id}: {message}",
-                    kind=None if kind is None else str(kind), now=now,
+                    job, start, f"node {node_id}: {message}"
                 )
-                self._nodes[node_id].shards_failed += 1
+                node.shards_failed += 1
+                job.inbox.append((None, node_id, spans))
                 self._cond.notify_all()
                 return {
                     "accepted": True,
                     "status": "failure-recorded",
                     "will_retry": requeued,
                 }
-            assert shard is not None
-            self._complete_shard_locked(
-                job, start, shard, node=node_id, now=now
-            )
-            job.persisting += 1
-            persist = job.on_shard_complete
-            tracer = job.tracer
-            self._cond.notify_all()
-        # Persistence happens outside the lock (lock discipline): the
-        # checkpoint write and trace appends are file I/O.  The
-        # ``persisting`` counter keeps run_job from finishing the job
-        # under us.
-        try:
-            if persist is not None:
-                try:
-                    persist(shard)
-                except OSError:
-                    pass  # checkpointing is best-effort, never fatal
-            for span in spans:
-                if isinstance(span, dict):
-                    attrs = span.setdefault("attributes", {})
-                    if isinstance(attrs, dict):
-                        attrs.setdefault("node", node_id)
-                    tracer.emit(span)
-        finally:
-            with self._cond:
-                job.persisting -= 1
-                self._cond.notify_all()
+            self._accept_locked(job, shard, node_id, spans)
+            node.shards_completed += 1
         _LOG.info(
             "fleet.shard.completed",
             job_id=job_id,
@@ -679,193 +598,109 @@ class FleetState:
         params: MiningParameters,
         *,
         matrix_digest: str,
+        index: Optional[RWaveIndex] = None,
+        fault_plan: Optional[FaultPlan] = None,
         completed: Optional[Mapping[int, ShardResult]] = None,
+        completed_origin: Optional[Mapping[int, str]] = None,
         on_shard_complete: Optional[Callable[[ShardResult], None]] = None,
         progress_callback: Optional[ProgressCallback] = None,
         should_stop: Optional[Callable[[], bool]] = None,
         timeout: Optional[float] = None,
         tracer: Optional[Tracer] = None,
         trace_parent: Optional[SpanContext] = None,
-        local_mine: Optional[Callable[[int, int], ShardResult]] = None,
         poll_interval: float = 0.05,
-    ) -> Tuple[ShardedOutcome, Dict[str, Any]]:
+    ) -> ShardedOutcome:
         """Drive one job to completion through the fleet queue.
 
         Blocks until every shard is completed (by nodes, local mining,
-        or checkpoints) or lost to an exhausted retry budget; returns
-        the same :class:`~repro.service.executor.ShardedOutcome` the
-        single-machine executor would, plus the per-shard provenance
-        mapping for the job record.  Cancellation and timeout raise
+        or checkpoints) or lost to an exhausted retry budget.  The job's
+        shards are booked by the same ledger as
+        :func:`~repro.service.executor.mine_sharded_outcome` (the
+        keyword arguments mean the same there), so it returns the same
+        :class:`~repro.service.executor.ShardedOutcome`, provenance
+        included.  This queue only decides where each shard runs.
+        Cancellation and timeout raise
         :class:`~repro.core.miner.MiningCancelled` /
         :class:`~repro.core.miner.MiningTimeout` with partial clusters
-        attached, mirroring ``mine_sharded_outcome``.
+        attached — mid-shard, too, for shards mined locally.
+
+        Lock discipline: handler threads touch the ledger only to
+        charge failures, under the lock.  Accepted completions wait in
+        the job's inbox until this thread books them — checkpoint,
+        trace and progress I/O all run here, outside the lock.
         """
-        active_tracer = tracer if tracer is not None else NULL_TRACER
-        deadline = None if timeout is None else time.monotonic() + timeout
-        job = _FleetJob(
-            job_id,
+        ledger = _ShardDriver(
             matrix,
             params,
-            matrix_digest=matrix_digest,
+            index=index,
+            fault_plan=fault_plan,
+            retry=self.retry,
+            timeout=timeout,
             completed=completed,
+            completed_origin=completed_origin,
             on_shard_complete=on_shard_complete,
-            tracer=active_tracer,
+            progress_callback=progress_callback,
+            should_stop=should_stop,
+            tracer=tracer,
             trace_parent=trace_parent,
         )
+        job = _FleetJob(job_id, ledger, matrix_digest)
         with self._cond:
             if job_id in self._jobs:
                 raise ValueError(f"job {job_id} is already queued")
             self._jobs[job_id] = job
-            self._cond.notify_all()
-        for start in sorted(job.resumed):
-            __, clusters, stats = job.resumed[start]
-            active_tracer.span(
-                "shard.resumed",
-                parent=trace_parent,
-                attributes={
-                    "shard": start,
-                    "outcome": "resumed",
-                    "nodes_expanded": int(stats.get("nodes_expanded", 0)),
-                    "clusters_emitted": len(clusters),
-                    **{key: value for key, value in stats.items()
-                       if key.startswith("time_")},
-                },
-            ).end()
-        reported = {"nodes": -1, "clusters": 0}
+        miner: Optional[RegClusterMiner] = None  # built on first local shard
         try:
             while True:
-                local_shard: Optional[int] = None
-                local_attempt = 0
-                interrupt: Optional[str] = None
+                local: Optional[int] = None
+                attempt = 0
                 with self._cond:
                     now = time.monotonic()
                     self._reclaim_locked(now)
                     if job.finished():
                         break
-                    if should_stop is not None and should_stop():
-                        interrupt = "cancel"
-                    elif deadline is not None and now > deadline:
-                        interrupt = "timeout"
-                    elif local_mine is not None:
-                        for start in job.due_pending(now):
-                            lease = ShardLease(
-                                lease_id=_new_lease_id(),
-                                node_id="local",
-                                job_id=job_id,
-                                shards=(start,),
-                                granted_at=now,
-                                deadline=float("inf"),
-                            )
-                            job.pending.remove(start)
-                            job.retry_at.pop(start, None)
-                            job.leases[start] = lease
-                            local_shard = start
-                            local_attempt = job.failed_attempts.get(start, 0)
-                            break
-                    if interrupt is None and local_shard is None:
-                        self._cond.wait(timeout=poll_interval)
-                    nodes_total, clusters_total = self._progress_locked(job)
-                if interrupt is not None:
-                    partial = job.partial_clusters()
-                    if interrupt == "cancel":
-                        raise MiningCancelled(
-                            "fleet job cancelled",
-                            partial_clusters=partial,
+                    landed, job.inbox = job.inbox, []
+                    due = job.due_pending(now) if self.local_mining else []
+                    if due:
+                        local = due[0]
+                        attempt = ledger.failed_attempts.get(local, 0)
+                        self._grant_locked(
+                            job, [local], "local", now, float("inf")
                         )
-                    raise MiningTimeout(
-                        f"fleet job exceeded its {timeout:g}s budget",
-                        partial_clusters=partial,
-                    )
-                self._report_progress(
-                    progress_callback, reported, nodes_total, clusters_total
-                )
-                if local_shard is not None:
-                    self._mine_local(
-                        job, local_shard, local_attempt, local_mine
-                    )
-        except BaseException:
+                    elif not landed:
+                        self._cond.wait(timeout=poll_interval)
+                for shard, node, spans in landed:
+                    for span in spans:
+                        ledger.tracer.emit(span)
+                    if shard is not None:
+                        ledger.record_shard(shard, node)
+                ledger.check_interrupts("in the fleet queue")
+                if local is not None:
+                    if miner is None:
+                        miner = ledger.in_process_miner()
+                    self._mine_local(job, miner, local, attempt)
+        finally:
             with self._cond:
                 self._jobs.pop(job_id, None)
-            raise
-        with self._cond:
-            self._jobs.pop(job_id, None)
-            nodes_total, clusters_total = self._progress_locked(job)
-        self._report_progress(
-            progress_callback, reported, nodes_total, clusters_total
-        )
-        return job.outcome(), job.provenance_dict()
-
-    @staticmethod
-    def _progress_locked(job: _FleetJob) -> Tuple[int, int]:
-        shards = job.all_shards()
-        nodes = sum(
-            int(shard[2].get("nodes_expanded", 0)) for shard in shards
-        )
-        clusters = sum(len(shard[1]) for shard in shards)
-        return nodes, clusters
-
-    @staticmethod
-    def _report_progress(
-        progress_callback: Optional[ProgressCallback],
-        reported: Dict[str, int],
-        nodes_total: int,
-        clusters_total: int,
-    ) -> None:
-        if progress_callback is None or nodes_total == reported["nodes"]:
-            return
-        progress_callback("expanded", nodes_total)
-        if clusters_total > reported["clusters"]:
-            progress_callback("emitted", nodes_total)
-        reported["nodes"] = nodes_total
-        reported["clusters"] = clusters_total
+        return ledger.outcome()
 
     def _mine_local(
         self,
         job: _FleetJob,
+        miner: RegClusterMiner,
         start: int,
         attempt: int,
-        local_mine: Optional[Callable[[int, int], ShardResult]],
     ) -> None:
-        """Mine one claimed shard on the coordinator (outside the lock)."""
-        assert local_mine is not None
+        """Mine one claimed shard on the coordinator, outside the lock,
+        through the ledger's in-process shard body."""
         try:
-            shard = local_mine(start, attempt)
-        except (MiningTimeout, MiningCancelled):
-            # Cooperative interrupt mid-shard: release the claim so the
-            # cleanup path (and any resubmission) sees the shard as
-            # pending, then let run_job's except-clause tear down.
+            shard = job.ledger.mine_here(miner, start, attempt, node="local")
+        except FaultInjected as error:
             with self._cond:
-                job.leases.pop(start, None)
-                job.pending.append(start)
-                job.pending.sort()
-            raise
-        except Exception as error:  # reglint: disable=RL103
-            # Organic or injected — either way it is one failed attempt
-            # against the same budget remote failures are charged to.
-            now = time.monotonic()
-            with self._cond:
-                self._fail_shard_locked(
-                    job,
-                    start,
-                    f"{type(error).__name__}: {error}",
-                    kind=getattr(
-                        getattr(error, "kind", None), "value", None
-                    ),
-                    now=now,
-                )
-                self._cond.notify_all()
+                self._fail_shard_locked(job, start, error)
             return
-        try:
-            if job.on_shard_complete is not None:
-                job.on_shard_complete(shard)
-        except OSError:
-            pass  # checkpointing is best-effort, never fatal
-        now = time.monotonic()
         with self._cond:
-            self._complete_shard_locked(
-                job, start, shard, node="local", now=now
-            )
-            self._cond.notify_all()
+            self._accept_locked(job, shard, "local", [])
 
     # ------------------------------------------------------------------
     # Observability
@@ -904,8 +739,8 @@ class FleetState:
                     job_id: {
                         "pending": len(job.pending),
                         "leased": len(job.leases),
-                        "completed": len(job.results) + len(job.resumed),
-                        "missing": len(job.missing),
+                        "completed": len(job.done),
+                        "missing": len(job.ledger.missing),
                     }
                     for job_id, job in self._jobs.items()
                 },
@@ -1091,37 +926,6 @@ class FleetNode:
         self._matrices[digest] = matrix
         return matrix
 
-    def _index_for(
-        self, matrix: ExpressionMatrix, digest: str, gamma: float
-    ) -> Tuple[RWaveIndex, bool]:
-        """The RWave index with its kernel attached when available.
-
-        Kernel acquisition order: own cache, then the coordinator's
-        artifact endpoint, then lazily built by the miner (and cached
-        afterwards, flipping future affinity routing to a hit).
-        Returns ``(index, had_kernel)``.
-        """
-        index = self.cache.get_index(digest, gamma)
-        if index is None:
-            index = RWaveIndex(matrix, gamma)
-            try:
-                self.cache.put_index(digest, gamma, index)
-            except OSError:
-                pass
-        kernel = self.cache.get_kernel(digest, gamma)
-        if kernel is None:
-            raw = self.client.fetch_kernel(digest, gamma)
-            if raw is not None:
-                try:
-                    self.cache.put_kernel_bytes(digest, gamma, raw)
-                except OSError:
-                    pass
-                kernel = self.cache.get_kernel(digest, gamma)
-        had_kernel = kernel is not None
-        if kernel is not None:
-            index.attach_kernel(kernel)
-        return index, had_kernel
-
     # -- mining -------------------------------------------------------
 
     def step(self) -> bool:
@@ -1186,7 +990,22 @@ class FleetNode:
         params = parameters_from_dict(dict(lease["parameters"]))
         shards = [int(start) for start in lease["shards"]]
         matrix = self._matrix(digest)
-        index, had_kernel = self._index_for(matrix, digest, params.gamma)
+        kernel_key = kernel_cache_key(digest, params.gamma)
+        if kernel_key not in self.cache.kernel_keys():
+            # The coordinator's kernel beats building one here.
+            raw = self.client.fetch_kernel(digest, params.gamma)
+            if raw is not None:
+                try:
+                    self.cache.put_kernel_bytes(digest, params.gamma, raw)
+                except OSError:
+                    pass
+        index, __, __ = self.cache.resolve(
+            "index", digest, params.gamma, matrix
+        )
+        kernel, __, __ = self.cache.resolve(
+            "kernel", digest, params.gamma, matrix, index=index
+        )
+        index.attach_kernel(kernel)
         trace = lease.get("trace")
         tracer: Tracer = NULL_TRACER
         trace_parent: Optional[SpanContext] = None
@@ -1263,11 +1082,6 @@ class FleetNode:
                 "error": outcome.shard_errors.get(start, "shard failed"),
                 "spans": collect_new_spans(),
             })
-        if not had_kernel and index.has_kernel:
-            try:
-                self.cache.put_kernel(digest, params.gamma, index.kernel)
-            except OSError:
-                pass
         self.leases_mined += 1
         _LOG.info(
             "fleet.node.lease_mined",

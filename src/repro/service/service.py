@@ -60,7 +60,6 @@ import numpy as np
 from repro.core.cluster import RegCluster
 from repro.core.miner import MiningCancelled, MiningTimeout
 from repro.core.params import MiningParameters
-from repro.core.rwave import RWaveIndex
 from repro.core.serialize import cluster_from_dict, cluster_to_dict, result_to_dict
 from repro.incremental.delta import (
     MatrixDelta,
@@ -77,18 +76,13 @@ from repro.incremental.sweep import (
     compute_sweep_id,
     expand_grid,
 )
-from repro.incremental.update import update_index, update_kernel
 from repro.matrix.expression import ExpressionMatrix
 from repro.matrix.summary import matrix_digest
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, render_family
 from repro.obs.trace import NULL_TRACER, Span, Tracer
-from repro.service.cache import DEFAULT_MAX_BYTES, ArtifactCache
-from repro.service.executor import (
-    ShardResult,
-    make_local_shard_miner,
-    mine_sharded_outcome,
-)
+from repro.service.cache import DEFAULT_MAX_BYTES, ArtifactCache, Lineage
+from repro.service.executor import ShardResult, mine_sharded_outcome
 from repro.service.fleet import DEFAULT_LEASE_TTL, FleetState
 from repro.service.jobs import (
     ACTIVE_STATES,
@@ -1082,9 +1076,7 @@ class MiningService:
     # Revision-aware execution (docs/incremental.md)
     # ------------------------------------------------------------------
 
-    def _revision_context(
-        self, record: JobRecord
-    ) -> Optional["tuple[MatrixRevision, ExpressionMatrix, MatrixDelta]"]:
+    def _revision_context(self, record: JobRecord) -> Optional[Lineage]:
         """The lineage of a job's matrix, or ``None`` for root matrices.
 
         A revision whose parent matrix is no longer stored (or whose
@@ -1099,11 +1091,11 @@ class MiningService:
             delta = revision.typed_delta()
         except (KeyError, ValueError, OSError):
             return None
-        return revision, parent_matrix, delta
+        return revision.parent_digest, parent_matrix, delta
 
     def _parent_reusable_shards(
         self,
-        revision: MatrixRevision,
+        parent_digest: str,
         parent_matrix: ExpressionMatrix,
         child_matrix: ExpressionMatrix,
         params: MiningParameters,
@@ -1120,7 +1112,7 @@ class MiningService:
         ``drop_genes`` for free.  Anything unreadable simply drops out
         of the reuse set: re-mining is always sound.
         """
-        parent_job_id = compute_job_id(revision.parent_digest, params)
+        parent_job_id = compute_job_id(parent_digest, params)
         reusable: Dict[int, StoredShard] = {}
         try:
             parent_record = self.jobs.get(parent_job_id)
@@ -1216,109 +1208,37 @@ class MiningService:
         #     only loses speed, never correctness.
         lineage = self._revision_context(record)
 
-        # 2. RWave^gamma index: cache hit, delta-update, or cold build.
-        with tracer.span("index", parent=root) as index_span:
-            index = self.cache.get_index(record.matrix_digest, params.gamma)
-            index_cache_hit = index is not None
-            index_build = "cached" if index_cache_hit else "cold"
-            if index is None and lineage is not None:
-                parent_index = self.cache.get_index(
-                    lineage[0].parent_digest, params.gamma
-                )
-                if parent_index is not None:
-                    try:
-                        index = update_index(
-                            parent_index, matrix, lineage[2]
-                        ).index
-                        index_build = "delta"
-                    except (TypeError, ValueError):
-                        index = None
-            if index is None:
-                index = RWaveIndex(matrix, params.gamma)
-            if not index_cache_hit:
-                try:
-                    self.cache.put_index(
-                        record.matrix_digest,
-                        params.gamma,
-                        index,
-                        parent_digest=(
-                            lineage[0].parent_digest
-                            if index_build == "delta"
-                            else None
-                        ),
-                    )
-                except OSError:
-                    pass  # best-effort: the in-memory index still serves
-            index_span.set_attribute("cache_hit", index_cache_hit)
-            index_span.set_attribute("build", index_build)
-
-        # 2b. Regulation kernel: determined by the same (digest, gamma)
-        #     key as the index.  On a hit the kernel is attached so the
-        #     miner skips the packbits build; on a revision, the parent
-        #     kernel is delta-updated (only new/changed planes rebuilt)
-        #     and stored immediately; otherwise the miner builds it
-        #     lazily and it is stored after the search.
-        with tracer.span("kernel", parent=root) as kernel_span:
-            kernel = self.cache.get_kernel(
-                record.matrix_digest, params.gamma
+        # 2. RWave^gamma index and regulation kernel, both keyed by
+        #    (digest, gamma): a cache hit, a delta update of the parent's
+        #    artifact, or a cold build.  Whatever is built is stored, so
+        #    the next job on this matrix (or a revision of it) starts
+        #    warm.  The kernel rides on the index to every shard driver.
+        digest = record.matrix_digest
+        with tracer.span("index", parent=root) as span:
+            index, index_build, __ = self.cache.resolve(
+                "index", digest, params.gamma, matrix, lineage=lineage
             )
-            kernel_cache_hit = kernel is not None
-            kernel_build = "cached" if kernel_cache_hit else "cold"
-            if kernel is None and lineage is not None:
-                parent_kernel = self.cache.get_kernel(
-                    lineage[0].parent_digest, params.gamma
-                )
-                if parent_kernel is not None:
-                    try:
-                        updated = update_kernel(
-                            parent_kernel,
-                            lineage[1],
-                            matrix,
-                            lineage[2],
-                            gamma=params.gamma,
-                        )
-                    except (TypeError, ValueError):
-                        updated = None
-                    if updated is not None:
-                        kernel = updated.kernel
-                        kernel_build = "delta"
-                        kernel_span.set_attribute(
-                            "reused_planes", updated.reused_planes
-                        )
-                        kernel_span.set_attribute(
-                            "rebuilt_planes", updated.rebuilt_planes
-                        )
-                        try:
-                            self.cache.put_kernel(
-                                record.matrix_digest,
-                                params.gamma,
-                                kernel,
-                                parent_digest=lineage[0].parent_digest,
-                            )
-                        except OSError:
-                            pass
-            if kernel is None and lineage is not None:
-                # No cached parent kernel to delta-update (worker pools
-                # build kernels in child processes, so a pool-mined
-                # parent leaves nothing behind).  Build the child's
-                # kernel eagerly and store it: this one hop is cold,
-                # but every later revision in the lineage delta-updates.
-                kernel = index.kernel
-                try:
-                    self.cache.put_kernel(
-                        record.matrix_digest, params.gamma, kernel
-                    )
-                except OSError:
-                    pass
-            if kernel is not None:
-                index.attach_kernel(kernel)
-            kernel_span.set_attribute("cache_hit", kernel_cache_hit)
-            kernel_span.set_attribute("build", kernel_build)
+            span.set_attributes(
+                {"cache_hit": index_build == "cached", "build": index_build}
+            )
+        with tracer.span("kernel", parent=root) as span:
+            kernel, kernel_build, planes = self.cache.resolve(
+                "kernel", digest, params.gamma, matrix,
+                index=index, lineage=lineage,
+            )
+            index.attach_kernel(kernel)
+            span.set_attributes(
+                {
+                    **planes,
+                    "cache_hit": kernel_build == "cached",
+                    "build": kernel_build,
+                }
+            )
         self._m_inc_kernel_builds.labels(mode=kernel_build).inc()
         self.jobs.update(
             job_id,
-            index_cache_hit=index_cache_hit,
-            kernel_cache_hit=kernel_cache_hit,
+            index_cache_hit=index_build == "cached",
+            kernel_cache_hit=kernel_build == "cached",
             result_cache_hit=False,
             kernel_build=kernel_build,
         )
@@ -1335,10 +1255,9 @@ class MiningService:
         #     re-mining it.  The job's own checkpoints take precedence
         #     over parent reuse (they are already exact for THIS job).
         completed_origin: Dict[int, str] = {}
-        reused_list: List[int] = []
         revision_parent_job: Optional[str] = None
         if lineage is not None:
-            revision, parent_matrix, delta = lineage
+            parent_digest, parent_matrix, delta = lineage
             with tracer.span("revision.plan", parent=root) as plan_span:
                 try:
                     plan = self.planner.plan(
@@ -1357,26 +1276,27 @@ class MiningService:
                     )
             if plan is not None and plan.clean_shards:
                 parent_job_id, reusable = self._parent_reusable_shards(
-                    revision, parent_matrix, matrix, params,
+                    parent_digest, parent_matrix, matrix, params,
                     plan.clean_shards,
                 )
                 for start in sorted(reusable):  # reglint: disable=RL106
                     if start not in completed:
                         completed[start] = reusable[start]
                         completed_origin[start] = "parent"
-                reused_list = sorted(completed_origin)
-                if reused_list:
+                if completed_origin:
                     revision_parent_job = parent_job_id
-            self._m_inc_shards.labels(source="reused").inc(len(reused_list))
+            self._m_inc_shards.labels(source="reused").inc(
+                len(completed_origin)
+            )
             self._m_inc_shards.labels(source="mined").inc(
                 matrix.n_conditions - len(completed)
             )
-            if reused_list:
+            if completed_origin:
                 _LOG.info(
                     "revision.reuse",
                     job_id=job_id,
                     parent_job=revision_parent_job,
-                    reused=len(reused_list),
+                    reused=len(completed_origin),
                     mined=matrix.n_conditions - len(completed),
                 )
 
@@ -1410,58 +1330,37 @@ class MiningService:
             except OSError:
                 pass  # checkpointing is an optimization, never fatal
 
+        # One shard ledger (repro.service.executor) books every path:
+        # a fleet job's shards are leased to nodes or mined right here
+        # (docs/distributed.md), a plain job's run in-process or on a
+        # worker pool.  Either way the outcome — clusters, provenance,
+        # spans — is the same.
         mine_span = tracer.span("mine", parent=root)
-        shard_provenance: Optional[Dict[str, Any]] = None
+        options: Dict[str, Any] = dict(
+            index=index,
+            fault_plan=self.fault_plan,
+            timeout=self.job_timeout,
+            completed=completed,
+            completed_origin=completed_origin,
+            on_shard_complete=on_shard_complete,
+            progress_callback=on_progress,
+            should_stop=cancel_event.is_set,
+            tracer=tracer,
+            trace_parent=mine_span.context,
+        )
         try:
             if self.fleet is not None:
-                # Fleet mode: the job is driven through the work queue —
-                # nodes lease shards over HTTP while (optionally) the
-                # coordinator mines unleased shards itself.  Remote and
-                # local results land in the same checkpoints and the
-                # same merge, so the outcome is bit-identical to the
-                # non-fleet path below.
-                local_mine = None
-                if self.fleet.local_mining:
-                    local_mine = make_local_shard_miner(
-                        matrix,
-                        params,
-                        index=index,
-                        fault_plan=self.fault_plan,
-                        should_stop=cancel_event.is_set,
-                        tracer=tracer,
-                        trace_parent=mine_span.context,
-                    )
-                outcome, shard_provenance = self.fleet.run_job(
-                    job_id,
-                    matrix,
-                    params,
-                    matrix_digest=record.matrix_digest,
-                    completed=completed,
-                    on_shard_complete=on_shard_complete,
-                    progress_callback=on_progress,
-                    should_stop=cancel_event.is_set,
-                    timeout=self.job_timeout,
-                    tracer=tracer,
-                    trace_parent=mine_span.context,
-                    local_mine=local_mine,
+                outcome = self.fleet.run_job(
+                    job_id, matrix, params, matrix_digest=digest, **options
                 )
             else:
                 outcome = mine_sharded_outcome(
                     matrix,
                     params,
                     n_workers=self.n_workers,
-                    index=index,
-                    progress_callback=on_progress,
-                    should_stop=cancel_event.is_set,
                     start_method=self.start_method,
                     retry=self.retry,
-                    fault_plan=self.fault_plan,
-                    timeout=self.job_timeout,
-                    completed=completed,
-                    completed_origin=completed_origin or None,
-                    on_shard_complete=on_shard_complete,
-                    tracer=tracer,
-                    trace_parent=mine_span.context,
+                    **options,
                 )
         except MiningCancelled as error:
             # Keep the last observed counters on the record; shard
@@ -1480,14 +1379,7 @@ class MiningService:
             )
         )
         self._m_lost.inc(len(outcome.missing_shards))
-        # Parent-reused shards enter the driver through the same resume
-        # seam as the job's own checkpoints; split them back apart so
-        # "resumed" keeps meaning "this job's checkpoints".
-        reused_set = set(reused_list)
-        resumed_own = [
-            s for s in outcome.resumed_shards if s not in reused_set
-        ]
-        self._m_resumed.inc(len(resumed_own))
+        self._m_resumed.inc(len(outcome.resumed_shards))
         for kind, count in outcome.fault_injections.items():
             self._m_faults.labels(kind=kind).inc(count)
         mine_span.set_attributes(
@@ -1498,8 +1390,8 @@ class MiningService:
                     outcome.result.statistics.clusters_emitted
                 ),
                 "missing_shards": list(outcome.missing_shards),
-                "resumed_shards": resumed_own,
-                "reused_shards": reused_list,
+                "resumed_shards": outcome.resumed_shards,
+                "reused_shards": outcome.reused_shards,
             }
         )
         mine_span.set_attributes(
@@ -1508,60 +1400,26 @@ class MiningService:
         mine_span.end()
 
         # 4. Persist the result (serialize v1, names included) and close.
-        #    A kernel the in-process miner built lazily is memoized for
-        #    the next job on the same (matrix, gamma); worker pools build
-        #    kernels in child processes, so there is nothing to store.
-        #    All cache writes are best-effort: a full or flaky disk must
-        #    not fail a job that mined successfully.
-        if (
-            not kernel_cache_hit
-            and kernel_build == "cold"
-            and lineage is None  # revision jobs stored theirs eagerly
-            and index.has_kernel
-        ):
-            try:
-                self.cache.put_kernel(
-                    record.matrix_digest, params.gamma, index.kernel
-                )
-            except OSError:
-                pass
+        #    Cache writes are best-effort: a full or flaky disk must not
+        #    fail a job that mined successfully.
         result = outcome.result
         payload = result_to_dict(result, matrix)
         progress["nodes_expanded"] = result.statistics.nodes_expanded
         progress["clusters_emitted"] = result.statistics.clusters_emitted
         self._m_clusters.inc(result.statistics.clusters_emitted)
-        shard_failures = (
-            {str(s): n for s, n in sorted(outcome.failed_attempts.items())}
-            or None
+        finished: Dict[str, Any] = dict(
+            progress=dict(progress),
+            phase_timers=result.statistics.timers.as_dict(),
+            resumed_shards=outcome.resumed_shards or None,
+            reused_shards=outcome.reused_shards or None,
+            revision_parent=revision_parent_job,
+            shard_failures={
+                str(s): n for s, n in sorted(outcome.failed_attempts.items())
+            } or None,
+            shard_provenance={
+                str(s): info for s, info in outcome.provenance.items()
+            },
         )
-        if shard_provenance is None:
-            # Non-fleet path: synthesize the same per-shard provenance
-            # the fleet reports, so ``status --stats`` answers "who
-            # mined shard N, in how many attempts" uniformly.
-            resumed = set(outcome.resumed_shards)
-            missing = set(outcome.missing_shards)
-            shard_provenance = {}
-            for start in range(matrix.n_conditions):
-                if start in reused_set:
-                    shard_provenance[str(start)] = {
-                        "node": "parent", "attempts": 0,
-                    }
-                elif start in resumed:
-                    shard_provenance[str(start)] = {
-                        "node": "checkpoint", "attempts": 0,
-                    }
-                elif start in missing:
-                    shard_provenance[str(start)] = {
-                        "node": None,
-                        "attempts": outcome.failed_attempts.get(start, 0),
-                    }
-                else:
-                    shard_provenance[str(start)] = {
-                        "node": "local",
-                        "attempts": (
-                            outcome.failed_attempts.get(start, 0) + 1
-                        ),
-                    }
         root.set_attributes(result.statistics.timers.prefixed())
         if outcome.degraded:
             # A degraded payload never enters the result cache: an
@@ -1586,18 +1444,12 @@ class MiningService:
                 job_id,
                 JobState.DEGRADED,
                 finished_at=time.time(),
-                progress=dict(progress),
-                phase_timers=result.statistics.timers.as_dict(),
                 missing_shards=outcome.missing_shards,
-                resumed_shards=resumed_own or None,
-                reused_shards=reused_list or None,
-                revision_parent=revision_parent_job,
-                shard_failures=shard_failures,
-                shard_provenance=shard_provenance,
                 error="; ".join(
                     f"shard {s}: {outcome.shard_errors[s]}"
                     for s in outcome.missing_shards
                 ),
+                **finished,
             )
             return
         with tracer.span("result.persist", parent=root):
@@ -1614,12 +1466,6 @@ class MiningService:
             job_id,
             JobState.DONE,
             finished_at=time.time(),
-            progress=dict(progress),
-            phase_timers=result.statistics.timers.as_dict(),
             missing_shards=None,
-            resumed_shards=resumed_own or None,
-            reused_shards=reused_list or None,
-            revision_parent=revision_parent_job,
-            shard_failures=shard_failures,
-            shard_provenance=shard_provenance,
+            **finished,
         )

@@ -7,14 +7,23 @@ single-process :func:`repro.core.miner.mine_reg_clusters`.
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import pytest
 
 from repro.core.miner import MiningCancelled, RegClusterMiner, mine_reg_clusters
 from repro.core.params import MiningParameters
+from repro.core.rwave import RWaveIndex
 from repro.datasets.synthetic import make_synthetic_dataset
-from repro.service.executor import merge_shard_results, mine_sharded
+from repro.matrix.summary import matrix_digest
+from repro.service.executor import (
+    merge_shard_results,
+    mine_sharded,
+    mine_sharded_outcome,
+)
+from repro.service.fleet import FleetState
 
 
 @pytest.fixture(scope="module")
@@ -247,3 +256,35 @@ class TestFailurePaths:
         reference = RegClusterMiner(running_example, capped).mine()
         sharded = mine_sharded(running_example, capped, n_workers=1)
         assert_results_identical(sharded, reference)
+
+
+class TestFinishedJobsReleaseTheirArtifacts:
+    @pytest.mark.parametrize("path", ["in-process", "fleet"])
+    def test_index_is_freed_without_a_garbage_collection(
+        self, synthetic, synthetic_params, path
+    ):
+        """The ledger and the in-process miner must not form a
+        reference cycle: a daemon runs one job after another, and a
+        cycle would keep every finished job's index and kernel resident
+        until the cyclic collector happens to run."""
+        index = RWaveIndex(synthetic, synthetic_params.gamma)
+        alive = weakref.ref(index)
+        options = dict(
+            index=index, timeout=60.0, progress_callback=lambda *__: None
+        )
+        gc.disable()
+        try:
+            if path == "fleet":
+                FleetState().run_job(
+                    "job-0000000000000000",
+                    synthetic,
+                    synthetic_params,
+                    matrix_digest=matrix_digest(synthetic),
+                    **options,
+                )
+            else:
+                mine_sharded_outcome(synthetic, synthetic_params, **options)
+            del index, options
+            assert alive() is None
+        finally:
+            gc.enable()

@@ -9,6 +9,7 @@ bit-identical to single-process mining.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -75,7 +76,7 @@ def _start_job(state, matrix, params, **kwargs):
 
     def target():
         try:
-            box["outcome"], box["provenance"] = state.run_job(
+            outcome = box["outcome"] = state.run_job(
                 "job-0000000000000000",
                 matrix,
                 params,
@@ -83,6 +84,9 @@ def _start_job(state, matrix, params, **kwargs):
                 poll_interval=0.01,
                 **kwargs,
             )
+            box["provenance"] = {
+                str(s): info for s, info in outcome.provenance.items()
+            }
         # Harness thread: every failure (incl. cancellation) must land
         # in the box for the test to assert on.
         except BaseException as error:  # reglint: disable=RL103
@@ -368,6 +372,70 @@ class TestLeaseLifecycle:
         assert answer == {"accepted": False, "reason": "unknown-job"}
         with pytest.raises(ValueError):
             state.complete({"job_id": "job-0"})  # missing fields
+
+
+class TestContention:
+    def test_racing_nodes_are_booked_exactly_once(self, small_params):
+        """Eight node threads lease, fail and complete shards at once
+        while run_job books the completions: every attempt must be
+        counted exactly once, whatever the interleaving."""
+        n_shards = 24
+        matrix = ExpressionMatrix(
+            [[float(g * c + g) for c in range(n_shards)] for g in range(3)]
+        )
+        flaky = set(range(0, n_shards, 3))  # fail their first attempt
+        state = FleetState(
+            lease_ttl=30.0,
+            local_mining=False,
+            retry=RetryPolicy(max_retries=1, backoff_base=0.0, jitter=0.0),
+        )
+        thread, box = _start_job(state, matrix, small_params)
+
+        def node(node_id):
+            while thread.is_alive():
+                lease = state.lease(node_id)
+                if lease is None:
+                    time.sleep(0.001)
+                    continue
+                for start in lease["shards"]:
+                    if start in flaky and lease["attempts"][str(start)] == 0:
+                        state.complete({
+                            "node_id": node_id,
+                            "lease_id": lease["lease_id"],
+                            "job_id": lease["job_id"],
+                            "shard": start,
+                            "status": "failed",
+                            "error": "flaky",
+                        })
+                    else:
+                        state.complete(
+                            _complete_payload(lease, start, node_id=node_id)
+                        )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            nodes = [
+                threading.Thread(target=node, args=(f"node-{i}",))
+                for i in range(8)
+            ]
+            for worker in nodes:
+                worker.start()
+            outcome, provenance = _finish(thread, box, timeout=60.0)
+            for worker in nodes:
+                worker.join(timeout=10.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not outcome.degraded
+        assert outcome.failed_attempts == {start: 1 for start in flaky}
+        assert {s: info["attempts"] for s, info in provenance.items()} == {
+            str(s): 2 if s in flaky else 1 for s in range(n_shards)
+        }
+        assert len(outcome.result.clusters) == n_shards
+        assert state.metrics_snapshot()["shards_completed"] == {
+            "remote": n_shards
+        }
 
 
 class TestAffinity:

@@ -290,11 +290,10 @@ class TestRevisionJobs:
     def test_cold_revision_bootstraps_the_lineage(
         self, service, matrix, tmp_path
     ):
-        # Worker pools build kernels in child processes, so a
-        # pool-mined parent leaves no cached kernel to delta-update.
-        # Simulate that by evicting the parent's kernel: the first
-        # revision must fall back to a cold build but *store* it, so a
-        # chained second revision delta-updates.
+        # A parent whose kernel left the cache (LRU eviction, or an
+        # explicit drop) leaves nothing to delta-update.  Evict it: the
+        # first revision must fall back to a cold build but *store* it,
+        # so a chained second revision delta-updates.
         parent = service.submit(matrix, PARAMS)
         run_done(service, parent)
         cache = service.cache
@@ -331,6 +330,44 @@ class TestRevisionJobs:
                 apply_delta(apply_delta(matrix, first), second),
             ),
         )
+
+
+class TestPoolMinedParent:
+    """A job mined on a worker pool leaves its kernel in the cache."""
+
+    @pytest.fixture
+    def pool_service(self, tmp_path):
+        return MiningService(tmp_path / "pool", n_workers=2)
+
+    @pytest.fixture
+    def parent(self, pool_service, matrix):
+        record = pool_service.submit(matrix, PARAMS)
+        run_done(pool_service, record)
+        return record
+
+    def test_kernel_is_cached(self, pool_service, matrix, parent):
+        assert (
+            pool_service.cache.get_kernel(matrix_digest(matrix), PARAMS.gamma)
+            is not None
+        )
+
+    def test_revision_delta_updates_the_kernel(
+        self, pool_service, matrix, parent
+    ):
+        delta = AppendGenes(
+            names=("gA",),
+            values=bimodal_matrix(1, matrix.n_conditions, seed=41).values,
+        )
+        __, record = pool_service.submit_revision(
+            matrix_digest(matrix), delta, PARAMS
+        )
+        assert run_done(pool_service, record).kernel_build == "delta"
+
+    def test_kernel_artifact_is_served(self, pool_service, matrix, parent):
+        raw = pool_service.kernel_artifact_bytes(
+            matrix_digest(matrix), PARAMS.gamma
+        )
+        assert raw is not None
 
 
 class TestSweeps:
