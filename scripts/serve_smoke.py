@@ -135,9 +135,9 @@ def main() -> int:
             server.server_close()
             thread.join(timeout=5)
 
-    # Kernel artifact reuse needs the in-process (single-worker) path:
-    # worker pools build kernels in child processes, so nothing reaches
-    # the parent's artifact cache.
+    # Kernel artifact reuse, checked on an in-process (single-worker)
+    # service.  Every job resolves its kernel in the daemon and stores
+    # it, whatever its worker count; pool workers inherit it.
     with tempfile.TemporaryDirectory(prefix="reg-cluster-smoke-") as store:
         service = MiningService(store, n_workers=1)
         try:

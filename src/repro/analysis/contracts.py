@@ -15,8 +15,12 @@ module re-verifies the invariants against brute force:
   pairwise scan for every condition (Lemma 3.1);
 * the max-chain tables used by the MinC pruning agree with a
   brute-force dynamic program;
-* the index's columnar ``max_up`` / ``max_down`` rows agree with each
-  gene's model, built on demand.
+* the index's columnar tables — sorted ``order`` and ``position``,
+  ``successor_bound`` / ``predecessor_bound`` and ``max_up`` /
+  ``max_down`` — agree with each gene's model, built on demand;
+* along each gene's sorted order ``max_up`` never increases and
+  ``max_down`` never decreases: the miner's extension runs are
+  contiguous because of it.
 
 The checks are O(n^2) per gene and therefore OFF by default.  Enable
 them for a debugging session with the ``REPRO_CONTRACTS=1`` environment
@@ -193,21 +197,43 @@ def check_rwave_model(model: "RWaveModel") -> None:
 def check_rwave_index(index: "RWaveIndex") -> None:
     """Verify every gene's model plus the bulk lookup arrays.
 
-    Each gene's :class:`RWaveModel` is built on demand from the index's
-    row and threshold, checked against brute force, and then used as
-    the reference for that gene's ``max_up`` / ``max_down`` rows.
+    First the monotonicity the miner's extension runs rely on is
+    checked for all genes at once.  Then each gene's
+    :class:`RWaveModel` is built on demand from the index's row and
+    threshold, checked against brute force, and used as the reference
+    for that gene's rows of every index table.
     """
+    n_conditions = index.matrix.n_conditions
+    up = np.take_along_axis(index.max_up, index.order, axis=1)
+    down = np.take_along_axis(index.max_down, index.order, axis=1)
+    _require(
+        bool(np.all(up[:, 1:] <= up[:, :-1])),
+        "index.max_up increases along a gene's sorted order",
+    )
+    _require(
+        bool(np.all(down[:, 1:] >= down[:, :-1])),
+        "index.max_down decreases along a gene's sorted order",
+    )
     for i in range(index.matrix.n_genes):
         model = index.model(i)
         check_rwave_model(model)
-        _require(
-            bool(np.all(index.max_up[i, model.order] == model.max_chain_up)),
-            f"gene {i}: index.max_up disagrees with the gene's model",
-        )
-        _require(
-            bool(np.all(index.max_down[i, model.order] == model.max_chain_down)),
-            f"gene {i}: index.max_down disagrees with the gene's model",
-        )
+        expected = {
+            "order": model.order,
+            "position": model.position,
+            "successor_bound": [
+                model.successor_bound(c) for c in range(n_conditions)
+            ],
+            "predecessor_bound": [
+                model.predecessor_bound(c) for c in range(n_conditions)
+            ],
+            "max_up": model.max_chain_up[model.position],
+            "max_down": model.max_chain_down[model.position],
+        }
+        for name, reference in expected.items():
+            _require(
+                bool(np.array_equal(getattr(index, name)[i], reference)),
+                f"gene {i}: index.{name} disagrees with the gene's model",
+            )
 
 
 def maybe_check_rwave_index(index: "RWaveIndex") -> None:

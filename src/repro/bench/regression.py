@@ -1,9 +1,9 @@
 """Benchmark-regression gate: pinned workloads, JSON snapshots, tolerance.
 
-The miner's performance work (the precomputed regulation kernels of
-:mod:`repro.core.kernels` and the batched search nodes built on them)
-needs a gate that keeps it from silently eroding.  This module provides
-one:
+The miner's performance work (chain extensions enumerated from the
+RWave^gamma index's sorted order and pointer bounds, scored in batched
+search nodes) needs a gate that keeps it from silently eroding.  This
+module provides one:
 
 * a **pinned suite** of mining workloads — the paper's running example
   plus fixed-seed Figure 7 generator points — every case fully
@@ -15,7 +15,7 @@ one:
   interpret the numbers later;
 * a **compare** step that diffs a fresh snapshot against a committed
   baseline with a configurable tolerance and fails (exit code 1) on
-  regression.
+  regression, or when the two snapshots timed different searches.
 
 Run it via ``make bench-regression`` or directly::
 
@@ -24,7 +24,7 @@ Run it via ``make bench-regression`` or directly::
     python -m repro.bench.regression compare BENCH_kernels.json \
         BENCH_baseline.json --tolerance 0.3
 
-``--legacy`` times the unkernelized per-candidate search path
+``--legacy`` times the legacy per-candidate search path
 (``use_kernel=False``) — the committed ``BENCH_baseline.json`` /
 ``BENCH_kernels.json`` pair documents the speedup on the machine that
 produced them.  Because absolute times are hardware-bound, CI does not
@@ -156,12 +156,11 @@ def _peak_rss_kb() -> int:
 def run_case(case: BenchCase, *, use_kernel: bool = True) -> Dict[str, Any]:
     """Measure one case: best wall time over repeats, plus search stats.
 
-    The matrix (and, for the kernel path, the packed kernel — it is a
-    per-(matrix, gamma) precomputation, amortized across every mining
-    run that shares the index) is built once outside the timed region;
-    each repeat constructs a fresh miner and runs the full search.  The
-    *minimum* wall time over repeats is reported: for a deterministic
-    workload the minimum is the least-noise estimator.
+    The matrix is built once outside the timed region; each repeat
+    constructs a fresh miner (which builds its RWave^gamma index, also
+    untimed) and times the full search.  The *minimum* wall time over
+    repeats is reported: for a deterministic workload the minimum is
+    the least-noise estimator.
 
     ``index_build_seconds`` times one standalone RWave^gamma index
     build before the repeats; the miners build their own indexes, so
@@ -411,9 +410,11 @@ def compare_snapshots(
     """Diff two snapshots; returns ``(report_lines, regressions)``.
 
     A case regresses when its wall time exceeds the baseline's by more
-    than ``tolerance`` (fractional: ``0.3`` allows up to 1.3x).  Cases
-    present in only one snapshot are reported but never fail the gate —
-    suites are allowed to grow.
+    than ``tolerance`` (fractional: ``0.3`` allows up to 1.3x), or when
+    the two snapshots timed different searches: a case's ``clusters``
+    or ``nodes_expanded`` differ, so a path that skipped nodes cannot
+    pass as a fast one.  Cases present in only one snapshot are reported
+    but never fail the gate — suites are allowed to grow.
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
@@ -440,6 +441,13 @@ def compare_snapshots(
         )
         ok = ratio <= 1.0 + tolerance
         status = "ok" if ok else f"REGRESSION (> {1.0 + tolerance:.2f}x)"
+        differing = [
+            f"{key} {entry.get(key)} vs {base.get(key)}"
+            for key in ("clusters", "nodes_expanded")
+            if entry.get(key) != base.get(key)
+        ]
+        if differing:
+            status = "DIFFERENT SEARCH"
         lines.append(
             f"{name:<20} {base['wall_seconds']:>10.4f} "
             f"{entry['wall_seconds']:>12.4f} {ratio:>6.2f}x  {status}"
@@ -449,6 +457,11 @@ def compare_snapshots(
                 f"{name}: {entry['wall_seconds']:.4f}s vs baseline "
                 f"{base['wall_seconds']:.4f}s ({ratio:.2f}x, tolerance "
                 f"{1.0 + tolerance:.2f}x)"
+            )
+        if differing:
+            regressions.append(
+                f"{name}: timed a different search than the baseline "
+                f"({', '.join(differing)})"
             )
     for name in base_by_name:
         lines.append(f"{name:<20} (present only in baseline)")
@@ -546,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--legacy",
         action="store_true",
-        help="time the unkernelized per-candidate search path",
+        help="time the legacy per-candidate search path",
     )
     run_p.add_argument(
         "--out", default=None, help="write the snapshot JSON here"

@@ -15,7 +15,7 @@ from repro.core.coherence import (
     fit_affine,
     is_shifting_and_scaling,
 )
-from repro.core.kernels import DEFAULT_SLICE_CACHE, RegulationKernel
+from repro.core.kernels import RegulationKernel
 from repro.core.miner import (
     MiningCancelled,
     MiningResult,
@@ -94,7 +94,6 @@ __all__ = [
     "SearchStatistics",
     "PhaseTimers",
     "RegulationKernel",
-    "DEFAULT_SLICE_CACHE",
     "mine_reg_clusters",
     "maximal_coherent_windows",
     "coherent_gene_windows",

@@ -1,57 +1,42 @@
 """Precomputed regulation-pair kernels (the Eq. 3 relation, materialized).
 
-The miner's innermost operation asks, for a member gene ``g`` and the
-chain's last condition ``b``: *which conditions ``a`` satisfy
-``Reg(g, a, b) == Up``?* (Eq. 3: ``values[g, a] - values[g, b] >
-gamma_g``).  The original hot path re-derived this from raw expression
-values at every search node — an O(|members| x C) float subtract/compare
-per node.  A :class:`RegulationKernel` instead materializes the whole
-ternary relation once per ``(matrix, thresholds)`` pair as the boolean
-tensor::
+A :class:`RegulationKernel` materializes the whole ternary Eq. 3
+relation of a ``(matrix, thresholds)`` pair as the boolean tensor::
 
     up[g, a, b]  =  values[g, a] - values[g, b] > gamma_g
 
 bit-packed along the ``b`` axis with :func:`numpy.packbits`, so the full
 relation costs ~``G * C^2 / 8`` bytes (a 5000 x 40 matrix packs into one
-megabyte).  The two views the search needs are cheap projections:
+megabyte).  Two projections read it back as dense ``(G, C)`` booleans:
 
 ``up_slice(last)``
-    dense ``(G, C)`` boolean ``up[:, :, last]`` — regulation *successor*
-    test against a fixed last condition.  Extracting one bit position
-    from the packed axis touches ``G * C`` bytes, no full unpack.
+    ``up[:, :, last]`` — regulation *successor* test against a fixed
+    last condition.  Extracting one bit position from the packed axis
+    touches ``G * C`` bytes, no full unpack.
 ``down_slice(last)``
-    dense ``(G, C)`` boolean ``up[:, last, :]`` — regulation
-    *predecessor* test — one :func:`numpy.unpackbits` over ``G * C / 8``
-    packed bytes.
+    ``up[:, last, :]`` — regulation *predecessor* test — one
+    :func:`numpy.unpackbits` over ``G * C / 8`` packed bytes.
 
-Because the depth-first search revisits the same last condition across
-all siblings of a subtree, both projections sit behind a small
-per-last-condition LRU cache of dense slices (the time/memory trade-off
-is documented in ``docs/performance.md``).
+The miner does not read the kernel: it enumerates chain extensions from
+the RWave^gamma sorted order and pointer bounds of
+:class:`repro.core.rwave.RWaveIndex`.  The kernel remains a service
+artifact — cached per ``(matrix, gamma)``, shipped to fleet nodes and
+delta-updated across revisions (:mod:`repro.incremental.update`).
 
 The comparisons here are executed on exactly the same float operands as
-the direct Eq. 3 evaluation, so a kernel-backed miner is *bit-identical*
-to the unkernelized one — the equivalence suite in
-``tests/core/test_kernels.py`` and ``tests/core/test_miner_kernel_equivalence.py``
-asserts this on every pinned dataset.
+the direct Eq. 3 evaluation, so the packed bits agree with
+:meth:`repro.core.rwave.RWaveModel.is_up_regulated` everywhere —
+``tests/core/test_kernels.py`` asserts this against brute force.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-__all__ = ["RegulationKernel", "DEFAULT_SLICE_CACHE"]
-
-#: Dense slices kept unpacked per direction.  The depth-first search
-#: cycles through every condition as "last" across sibling subtrees, so
-#: the default covers all slices of typical expression matrices
-#: (C <= 64) outright — each cached slice costs G x C bytes; matrices
-#: with more conditions fall back to LRU reuse along the search path.
-DEFAULT_SLICE_CACHE = 64
+__all__ = ["RegulationKernel"]
 
 #: Gene-axis chunk used while packing, bounding the peak size of the
 #: temporary dense ``(chunk, C, C)`` difference tensor.
@@ -68,18 +53,9 @@ class RegulationKernel:
     thresholds:
         Per-gene regulation thresholds ``gamma_g`` (Eq. 4), shape
         ``(n_genes,)``, all non-negative.
-    slice_cache:
-        How many dense ``(G, C)`` slices to keep unpacked per direction
-        (LRU).  ``0`` disables caching (every query re-projects).
     """
 
-    def __init__(
-        self,
-        values: ArrayLike,
-        thresholds: ArrayLike,
-        *,
-        slice_cache: int = DEFAULT_SLICE_CACHE,
-    ) -> None:
+    def __init__(self, values: ArrayLike, thresholds: ArrayLike) -> None:
         data = np.ascontiguousarray(values, dtype=np.float64)
         if data.ndim != 2:
             raise ValueError(
@@ -93,13 +69,8 @@ class RegulationKernel:
             )
         if np.any(per_gene < 0):
             raise ValueError("thresholds must be non-negative")
-        if slice_cache < 0:
-            raise ValueError(f"slice_cache must be >= 0, got {slice_cache}")
         self.n_genes, self.n_conditions = data.shape
-        self.slice_cache = int(slice_cache)
         self._packed = self._pack(data, per_gene)
-        self._up_cache: "OrderedDict[int, NDArray[np.bool_]]" = OrderedDict()
-        self._down_cache: "OrderedDict[int, NDArray[np.bool_]]" = OrderedDict()
 
     @classmethod
     def from_packed(
@@ -107,7 +78,6 @@ class RegulationKernel:
         packed: NDArray[np.uint8],
         *,
         n_conditions: int,
-        slice_cache: int = DEFAULT_SLICE_CACHE,
     ) -> "RegulationKernel":
         """Wrap an already-packed relation tensor into a kernel.
 
@@ -123,8 +93,6 @@ class RegulationKernel:
             raise ValueError(
                 f"n_conditions must be >= 0, got {n_conditions}"
             )
-        if slice_cache < 0:
-            raise ValueError(f"slice_cache must be >= 0, got {slice_cache}")
         tensor = np.ascontiguousarray(packed, dtype=np.uint8)
         expected_width = (n_conditions + 7) // 8
         if (
@@ -139,10 +107,7 @@ class RegulationKernel:
         kernel = cls.__new__(cls)
         kernel.n_genes = int(tensor.shape[0])
         kernel.n_conditions = int(n_conditions)
-        kernel.slice_cache = int(slice_cache)
         kernel._packed = tensor
-        kernel._up_cache = OrderedDict()
-        kernel._down_cache = OrderedDict()
         return kernel
 
     @classmethod
@@ -217,60 +182,28 @@ class RegulationKernel:
             )
         return int(condition)
 
-    def _cached(
-        self,
-        cache: "OrderedDict[int, NDArray[np.bool_]]",
-        condition: int,
-    ) -> Optional[NDArray[np.bool_]]:
-        hit = cache.get(condition)
-        if hit is not None:
-            cache.move_to_end(condition)
-        return hit
-
-    def _remember(
-        self,
-        cache: "OrderedDict[int, NDArray[np.bool_]]",
-        condition: int,
-        dense: NDArray[np.bool_],
-    ) -> NDArray[np.bool_]:
-        if self.slice_cache:
-            cache[condition] = dense
-            while len(cache) > self.slice_cache:
-                cache.popitem(last=False)
-        return dense
-
     def up_slice(self, last: int) -> NDArray[np.bool_]:
         """``(G, C)`` boolean: ``[g, a]`` iff ``Reg(g, a, last) == Up``.
 
         Row ``g``, column ``a`` is true when condition ``a`` up-regulates
-        gene ``g`` relative to ``last`` (Eq. 3).  The returned array is
-        shared with the cache — treat it as read-only.
+        gene ``g`` relative to ``last`` (Eq. 3).
         """
         last = self._check_condition(last)
-        hit = self._cached(self._up_cache, last)
-        if hit is not None:
-            return hit
         byte = self._packed[:, :, last >> 3]
-        bit = (byte >> (7 - (last & 7))) & 1
-        return self._remember(self._up_cache, last, bit.astype(np.bool_))
+        return ((byte >> (7 - (last & 7))) & 1).astype(np.bool_)
 
     def down_slice(self, last: int) -> NDArray[np.bool_]:
         """``(G, C)`` boolean: ``[g, b]`` iff ``Reg(g, last, b) == Up``.
 
         Row ``g``, column ``b`` is true when ``last`` up-regulates gene
         ``g`` relative to condition ``b`` — i.e. ``b`` is a regulation
-        predecessor of ``last``.  Shared with the cache; read-only.
+        predecessor of ``last``.
         """
         last = self._check_condition(last)
-        hit = self._cached(self._down_cache, last)
-        if hit is not None:
-            return hit
         bits = np.unpackbits(
             self._packed[:, last, :], axis=1, count=self.n_conditions
         )
-        return self._remember(
-            self._down_cache, last, bits.astype(np.bool_)
-        )
+        return bits.astype(np.bool_)
 
     def is_up_regulated(self, gene: int, cond_hi: int, cond_lo: int) -> bool:
         """Point query ``Reg(gene, cond_hi, cond_lo) == Up`` (Eq. 3)."""
@@ -289,34 +222,22 @@ class RegulationKernel:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the packed tensor (excludes the slice cache)."""
+        """Bytes held by the packed tensor."""
         return int(self._packed.nbytes)
-
-    def cache_info(self) -> Tuple[int, int]:
-        """Currently-cached dense slice counts ``(up, down)``."""
-        return len(self._up_cache), len(self._down_cache)
-
-    def clear_cache(self) -> None:
-        """Drop every cached dense slice (the packed tensor remains)."""
-        self._up_cache.clear()
-        self._down_cache.clear()
 
     def __repr__(self) -> str:
         return (
             f"RegulationKernel(shape={self.n_genes}x{self.n_conditions}, "
-            f"packed={self.nbytes} bytes, slice_cache={self.slice_cache})"
+            f"packed={self.nbytes} bytes)"
         )
 
     # ------------------------------------------------------------------
     # Pickling (artifact cache / spawned workers)
     # ------------------------------------------------------------------
 
-    def __getstate__(self) -> "dict[str, object]":
-        """Persist only the packed tensor — dense slices are derived."""
-        state = dict(self.__dict__)
-        state["_up_cache"] = OrderedDict()
-        state["_down_cache"] = OrderedDict()
-        return state
-
     def __setstate__(self, state: "dict[str, object]") -> None:
+        # Kernels pickled while they kept an LRU of dense slices carry
+        # its (always emptied) caches and size; the slices are gone.
+        for name in ("slice_cache", "_up_cache", "_down_cache"):
+            state.pop(name, None)
         self.__dict__.update(state)

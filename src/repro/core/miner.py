@@ -27,20 +27,26 @@ constraint of the model and cannot be disabled.
 
 Hot-path layout
 ---------------
-The per-node work is backed by the precomputed regulation-pair kernel
-(:mod:`repro.core.kernels`): candidate generation is a masked lookup into
-a dense kernel slice instead of an O(|members| x C) float
-subtract/compare, gene-membership splits go through one reusable boolean
-scratch mask over the full gene axis (no per-node ``np.isin`` /
-``np.union1d`` allocations), and the Eq. 7 baseline ``d_c2 - d_c1`` is
-computed once per depth-2 branch root instead of at every extension.
-``use_kernel=False`` selects the legacy direct-evaluation path — kept
-both as the equivalence oracle for the kernel (the two are proven
-bit-identical in ``tests/core/test_miner_kernel_equivalence.py``) and as
-the measured baseline of ``BENCH_baseline.json``.  Each search phase
-(candidate generation / window partition / emit) is timed into
-:class:`PhaseTimers`, surfaced by ``reg-cluster mine --stats``, the
-service job records and the benchmark-regression suite.
+Chain extensions are enumerated from the RWave^gamma index
+(:class:`repro.core.rwave.RWaveIndex`): for a member gene the conditions
+that extend its chain (Eq. 3) and can still reach ``MinC`` (pruning 2)
+form one contiguous run of its sorted conditions, bounded by one pointer
+lookup (Lemma 3.1) and one reach limit per gene.  Every node turns its
+members' runs into one flat array of (candidate, member) pairs, scores
+them with one vectorized Eq. 7 expression and partitions every
+candidate's windows with one segmented scan.  Gene-membership splits go
+through one reusable boolean scratch mask over the full gene axis (no
+per-node ``np.isin`` / ``np.union1d`` allocations), and the Eq. 7
+baseline ``d_c2 - d_c1`` is computed once per depth-2 branch root
+instead of at every extension.  ``use_kernel=False`` selects the legacy
+per-candidate path, which re-derives Eq. 3 from raw values at every
+node — kept both as the equivalence oracle (the two are proven
+bit-identical in ``tests/core/test_miner_kernel_equivalence.py`` and
+``tests/core/test_miner_differential.py``) and as the measured baseline
+of ``BENCH_baseline.json``.  Each search phase (candidate generation /
+window partition / emit) is timed into :class:`PhaseTimers`, surfaced by
+``reg-cluster mine --stats``, the service job records and the
+benchmark-regression suite.
 """
 
 from __future__ import annotations
@@ -64,7 +70,6 @@ from numpy.typing import NDArray
 
 from repro.core.chain import is_representative
 from repro.core.cluster import RegCluster
-from repro.core.kernels import RegulationKernel
 from repro.core.params import MiningParameters
 from repro.core.rwave import RWaveIndex
 from repro.core.trace import SearchTrace
@@ -249,10 +254,13 @@ class RegClusterMiner:
     prunings:
         Lossless-pruning switches, defaults to all on.
     use_kernel:
-        Back candidate generation by the precomputed regulation-pair
-        kernel (default).  ``False`` re-derives Eq. 3 from raw values at
-        every node — the legacy hot path, kept as the measured baseline
-        and equivalence oracle; both paths emit bit-identical results.
+        Take the fast path (default): enumerate chain extensions as
+        runs of the RWave^gamma index's sorted conditions and score
+        each node's extensions in one flat pass.  ``False`` re-derives
+        Eq. 3 from raw values per candidate — the legacy path, kept as
+        the measured baseline and equivalence oracle; both paths emit
+        bit-identical results.  (The name predates the run enumeration;
+        neither path reads the index's regulation kernel.)
 
     Examples
     --------
@@ -330,11 +338,11 @@ class RegClusterMiner:
             self.index = RWaveIndex(matrix, params.gamma, thresholds=thresholds)
         self._values = matrix.values
         self._thresholds = self.index.thresholds
-        #: the packed Eq. 3 relation (built lazily on the index, shared
-        #: by every miner reusing it), or ``None`` on the legacy path.
-        self._kernel: Optional[RegulationKernel] = (
-            self.index.kernel if use_kernel else None
-        )
+        #: the legacy per-candidate path (``use_kernel=False``)
+        self._legacy = not use_kernel
+        #: flat views for the fast path's pair gathers
+        self._values_flat = matrix.values.ravel()
+        self._order_flat = self.index.order.ravel()
         #: reusable boolean scratch over the full gene axis — membership
         #: splits and distinct-gene counts without per-node allocation.
         self._scratch: NDArray[np.bool_] = np.zeros(
@@ -345,16 +353,19 @@ class RegClusterMiner:
         self._baseline: NDArray[np.float64] = np.zeros(
             matrix.n_genes, dtype=np.float64
         )
-        #: pruning (2) masks ``max_up/max_down >= need`` keyed by the
-        #: remaining chain length, built once per distinct ``need``.
-        self._reach_cache: Dict[
-            int, Tuple[NDArray[np.bool_], NDArray[np.bool_]]
-        ] = {}
+        #: pruning (2) keyed by the remaining chain length, built once
+        #: per distinct ``need``: run limits ``(up_end, down_start)`` per
+        #: gene on the fast path, ``max_up/max_down >= need`` masks on
+        #: the legacy one.
+        self._reach_cache: Dict[int, Tuple[NDArray, NDArray]] = {}
 
     @property
     def uses_kernel(self) -> bool:
-        """Whether candidate generation runs on the packed kernel."""
-        return self._kernel is not None
+        """Whether the search takes the fast path (``use_kernel=True``).
+
+        ``False`` on the legacy per-candidate oracle path.
+        """
+        return not self._legacy
 
     # ------------------------------------------------------------------
     # Public API
@@ -568,10 +579,8 @@ class RegClusterMiner:
                 out=self._baseline,
             )
 
-        if self._kernel is not None and depth >= 2:
-            # Kernel hot path: score every candidate extension of this
-            # node in one flat vectorized pass instead of per candidate.
-            self._extend_batched(chain, p_members, n_members)
+        if not self._legacy:
+            self._extend_runs(chain, p_members, n_members)
             return
 
         phase_started = perf_counter()
@@ -644,9 +653,8 @@ class RegClusterMiner:
         gathered by scanning the regulation successors of the chain's
         last condition for the p-members and its predecessors for the
         n-members (prunings 2 and 3a make scanning n-members for support
-        unnecessary).  On the kernel path the Eq. 3 tests are masked
-        lookups into the precomputed dense slices; the legacy path
-        derives them from raw values (bit-identical, measured slower).
+        unnecessary).  The Eq. 3 tests are derived from raw values: this
+        is the legacy path's dense oracle for :meth:`_extension_pairs`.
         """
         params = self.params
         last = chain[-1]
@@ -655,21 +663,16 @@ class RegClusterMiner:
 
         p_idx = p_members
         n_idx = n_members
-        kernel = self._kernel
-        if kernel is not None:
-            up_ok = kernel.up_slice(last)[p_idx]
-            down_ok = kernel.down_slice(last)[n_idx]
-        else:
-            values = self._values
-            thresholds = self._thresholds
-            up_ok = (
-                values[p_idx] - values[p_idx, last][:, None]
-                > thresholds[p_idx][:, None]
-            )
-            down_ok = (
-                values[n_idx, last][:, None] - values[n_idx]
-                > thresholds[n_idx][:, None]
-            )
+        values = self._values
+        thresholds = self._thresholds
+        up_ok = (
+            values[p_idx] - values[p_idx, last][:, None]
+            > thresholds[p_idx][:, None]
+        )
+        down_ok = (
+            values[n_idx, last][:, None] - values[n_idx]
+            > thresholds[n_idx][:, None]
+        )
         if self.prunings.reachability and need > 1:
             reach = self._reach_cache.get(need)
             if reach is None:
@@ -681,15 +684,29 @@ class RegClusterMiner:
             up_ok &= reach[0][p_idx]
             down_ok &= reach[1][n_idx]
 
-        in_chain = np.zeros(self.matrix.n_conditions, dtype=bool)
-        in_chain[list(chain)] = True
         support = up_ok.sum(axis=0)
-        support[in_chain] = 0
+        support[list(chain)] = 0
+        cands = np.flatnonzero(self._viable(chain, support)).astype(
+            np.intp, copy=False
+        )
+        return cands, up_ok[:, cands], down_ok[:, cands]
 
-        min_support = params.min_p_members if self.prunings.p_majority else 1
+    def _viable(
+        self, chain: Tuple[int, ...], support: NDArray[np.intp]
+    ) -> NDArray[np.bool_]:
+        """Conditions with enough p-member support to extend ``chain``.
+
+        ``support`` counts, per condition, the p-members it extends;
+        pruning 3a asks for ``MinG / 2`` of them, else one.
+        """
+        min_support = (
+            self.params.min_p_members if self.prunings.p_majority else 1
+        )
         if self.tracer is not None:
             # Surface the silently-filtered candidate edges so the
             # rendered tree matches Figure 6's annotated prunings.
+            in_chain = np.zeros(self.matrix.n_conditions, dtype=bool)
+            in_chain[list(chain)] = True
             for condition in np.flatnonzero(
                 (support < min_support) & ~in_chain
             ):
@@ -699,10 +716,7 @@ class RegClusterMiner:
                     else "pruned_p_majority"
                 )
                 self.tracer.record(chain + (int(condition),), event)
-        cands = np.flatnonzero(support >= min_support).astype(
-            np.intp, copy=False
-        )
-        return cands, up_ok[:, cands], down_ok[:, cands]
+        return support >= min_support
 
     def _candidates(
         self,
@@ -721,66 +735,198 @@ class RegClusterMiner:
                 n_members[down_sel[:, position]],
             )
 
-    def _extend_batched(
+    def _reach_runs(
+        self, need: int
+    ) -> Tuple[NDArray[np.intp], NDArray[np.intp]]:
+        """Pruning (2) as per-gene limits on sorted positions.
+
+        ``max_up`` never increases along a gene's sorted conditions: a
+        chain that climbs from one value can climb from any lower value
+        instead (float subtraction is monotone).  So ``max_up >= need``
+        holds on a prefix ``[0, up_end[g])`` of the sorted positions,
+        and likewise ``max_down >= need`` on a suffix ``[down_start[g],
+        C)``.  ``need <= 1`` (or pruning 2 off) keeps every position.
+        """
+        if not self.prunings.reachability or need < 1:
+            need = 1
+        runs = self._reach_cache.get(need)
+        if runs is None:
+            up_end = np.count_nonzero(self.index.max_up >= need, axis=1)
+            down_start = self.matrix.n_conditions - np.count_nonzero(
+                self.index.max_down >= need, axis=1
+            )
+            runs = (up_end, down_start)
+            self._reach_cache[need] = runs
+        return runs
+
+    def _extension_pairs(
+        self,
+        chain: Tuple[int, ...],
+        members: NDArray[np.intp],
+        n_pm: int,
+    ) -> Tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.intp]]:
+        """Viable extensions of a chain as flat (candidate, member) pairs.
+
+        ``members`` lists the node's p-members, then its n-members (the
+        first ``n_pm`` are p-members).  Returns ``(cands, conds,
+        owners)``: the candidate conditions in ascending order, then one
+        entry per complying pair — its condition and the index of its
+        member in ``members`` — in member order.
+
+        Why one run per member: over a gene's sorted values ``s`` float
+        subtraction is monotone, so ``s[h] - s[last] > gamma_g`` (Eq. 3)
+        holds on a suffix of positions ``h``, starting at ``last``'s
+        closest regulation successor (one pointer lookup, Lemma 3.1);
+        pruning 2 holds on a prefix (:meth:`_reach_runs`).  A p-member's
+        extensions are the run where both hold; an n-member's are the
+        mirror image, from its reach limit up to ``last``'s closest
+        predecessor.  Candidates need enough p-member support (prunings
+        2 and 3a make scanning n-members for support unnecessary).  The
+        legacy :meth:`_candidate_matrix` finds the same pairs densely.
+        """
+        params = self.params
+        index = self.index
+        last = chain[-1]
+        n_conditions = self.matrix.n_conditions
+        up_end, down_start = self._reach_runs(
+            params.min_conditions - len(chain)
+        )
+        p_members = members[:n_pm]
+        n_members = members[n_pm:]
+        # Each member's run of sorted positions is [first, stop).
+        first = np.concatenate(
+            (index.successor_bound[:, last][p_members], down_start[n_members]),
+            dtype=np.intp,
+        )
+        stop = np.concatenate(
+            (
+                up_end[p_members],
+                index.predecessor_bound[:, last][n_members] + 1,
+            ),
+            dtype=np.intp,
+        )
+        np.maximum(stop, first, out=stop)
+        lengths = stop - first
+        ends = lengths.cumsum()
+        total = int(ends[-1]) if ends.shape[0] else 0
+        # Pair k of a member reads ``order`` at ``shift[member] + k``:
+        # the flat offset of its row's ``stop``, less its last pair's
+        # slot + 1.
+        shift = members * n_conditions
+        shift += stop
+        shift -= ends
+        flat = shift.repeat(lengths)
+        flat += np.arange(total)
+        conds = self._order_flat[flat].astype(np.intp)
+        owners = np.arange(members.shape[0]).repeat(lengths)
+
+        # No chain condition lies in a run: values strictly rise along a
+        # p-member's chain and fall along an n-member's, so every chain
+        # condition sits on the far side of ``last`` from its run.
+        n_p = int(ends[n_pm - 1]) if n_pm else 0
+        support = np.bincount(conds[:n_p], minlength=n_conditions)
+        viable = self._viable(chain, support)
+        keep = viable[conds]
+        if not keep.all():
+            conds = conds[keep]
+            owners = owners[keep]
+        return viable.nonzero()[0], conds, owners
+
+    def _extend_runs(
         self,
         chain: Tuple[int, ...],
         p_members: NDArray[np.intp],
         n_members: NDArray[np.intp],
     ) -> None:
+        """Expand every extension of a node, enumerated from RWave runs."""
+        stats = self._stats
+        timers = stats.timers
+        phase_started = perf_counter()
+        members = np.concatenate((p_members, n_members))
+        n_pm = p_members.shape[0]
+        cands, conds, owners = self._extension_pairs(chain, members, n_pm)
+        if len(chain) >= 2:
+            timers.candidates += perf_counter() - phase_started
+            self._extend_batched(chain, cands, conds, owners, members, n_pm)
+            return
+        # Depth 1: group the pairs by candidate.  The stable sort keeps
+        # each group in member order, p-members first, as the legacy
+        # children are; on the narrow table dtype it is a radix sort.
+        grouped = owners[
+            np.argsort(conds.astype(self.index.order.dtype), kind="stable")
+        ]
+        ends = np.bincount(conds, minlength=self.matrix.n_conditions)[
+            cands
+        ].cumsum()
+        children = []
+        for condition, end, count in zip(
+            cands, ends, np.diff(ends, prepend=0)
+        ):
+            group = grouped[end - count : end]
+            split = int(group.searchsorted(n_pm))
+            children.append(
+                (
+                    chain + (int(condition),),
+                    members[group[:split]],
+                    members[group[split:]],
+                )
+            )
+        timers.candidates += perf_counter() - phase_started
+        for extended, child_p, child_n in children:
+            stats.candidates_examined += 1
+            # The new pair *is* the baseline: every member scores H = 1,
+            # so there is exactly one (trivially coherent) window.
+            self._expand(extended, child_p, child_n)
+
+    def _extend_batched(
+        self,
+        chain: Tuple[int, ...],
+        cands: NDArray[np.intp],
+        conds: NDArray[np.intp],
+        owners: NDArray[np.intp],
+        members: NDArray[np.intp],
+        n_pm: int,
+    ) -> None:
         """Score and branch every candidate extension in one flat pass.
 
         The per-candidate legacy loop pays numpy call overhead on tiny
-        arrays tens of thousands of times; this path concatenates every
-        candidate's compliant genes into flat arrays, computes all Eq. 7
-        scores with one vectorized expression, canonicalizes the order
-        with a single (candidate, score, gene) lexsort and partitions all
-        candidates' windows with one segmented scan.  The per-candidate
-        bookkeeping loop then only touches precomputed arrays, so
-        statistics, tracer events and recursion order — and therefore the
-        emitted clusters — are bit-identical to the legacy path.
+        arrays tens of thousands of times; this path takes every
+        candidate's complying genes as the flat pairs of
+        :meth:`_extension_pairs`, computes all Eq. 7 scores with one
+        vectorized expression, canonicalizes the order with a single
+        (candidate, score, gene) lexsort and partitions all candidates'
+        windows with one segmented scan.  The per-candidate bookkeeping
+        loop then only touches precomputed arrays, so statistics, tracer
+        events and recursion order — and therefore the emitted clusters
+        — are bit-identical to the legacy path.
         """
         stats = self._stats
         timers = stats.timers
         params = self.params
         last = chain[-1]
-
-        phase_started = perf_counter()
-        cands, up_sel, down_sel = self._candidate_matrix(
-            chain, p_members, n_members
-        )
-        timers.candidates += perf_counter() - phase_started
         n_cands = cands.shape[0]
         if n_cands == 0:
             return
 
         phase_started = perf_counter()
-        n_p = p_members.shape[0]
-        members_all = np.concatenate((p_members, n_members))
-        ok_t = np.ascontiguousarray(
-            np.concatenate((up_sel, down_sel), axis=0).T
-        )
-        # nonzero on the (candidate, member) orientation walks candidates
-        # in ascending order, members within each — the flat layout every
-        # later step relies on.
-        cand_pos, mem_pos = np.nonzero(ok_t)
-        raw_counts = np.bincount(cand_pos, minlength=n_cands)
-        genes_flat = members_all[mem_pos]
-        values = self._values
-        scores_flat = (
-            values[genes_flat, cands[cand_pos]] - values[genes_flat, last]
-        ) / self._baseline[genes_flat]
+        n_conditions = self.matrix.n_conditions
+        scores_flat = self._values_flat[
+            (members * n_conditions)[owners] + conds
+        ]
+        scores_flat -= self._values[members, last][owners]
+        scores_flat /= self._baseline[members][owners]
         finite = np.isfinite(scores_flat)
         if finite.all():
             degenerate = None
         else:
             # Degenerate baselines (defensive — valid members always have
             # |d_c2 - d_c1| > gamma_g >= 0); drop and count per candidate.
-            degenerate = np.bincount(cand_pos[~finite], minlength=n_cands)
-            keep = finite
-            cand_pos = cand_pos[keep]
-            mem_pos = mem_pos[keep]
-            genes_flat = genes_flat[keep]
-            scores_flat = scores_flat[keep]
+            degenerate = np.bincount(
+                conds[~finite], minlength=n_conditions
+            )[cands]
+            conds = conds[finite]
+            owners = owners[finite]
+            scores_flat = scores_flat[finite]
         epsilon = params.epsilon
         if epsilon > 0.0 and scores_flat.shape[0]:
             # Coherence prefilter: a window of spread <= epsilon occupies
@@ -789,25 +935,29 @@ class RegClusterMiner:
             # candidate whose best 4-adjacent-bucket count stays below
             # MinG provably has no valid window — cheaper than sorting
             # its scores.  The bound is conservative: survivors still go
-            # through the exact segmented scan below.
-            low = scores_flat.min()
-            clipped = np.clip(
-                (scores_flat - low) / epsilon, 0.0, float(_BUCKET_CAP)
+            # through the exact segmented scan below.  Histogram rows are
+            # conditions; a non-candidate's row is empty.  Offsets from
+            # the minimum are >= 0, so only the top bucket is clipped.
+            low = np.minimum.reduce(scores_flat)
+            clipped = np.minimum(
+                (scores_flat - low) / epsilon, float(_BUCKET_CAP)
             )
-            key = cand_pos * np.int64(_BUCKET_CAP + 1) + clipped.astype(
+            key = conds * np.int64(_BUCKET_CAP + 1) + clipped.astype(
                 np.int64
             )
             hist = np.bincount(
-                key, minlength=n_cands * (_BUCKET_CAP + 1)
-            ).reshape(n_cands, _BUCKET_CAP + 1)
-            quads = hist[:, :-3] + hist[:, 1:-2] + hist[:, 2:-1] + hist[:, 3:]
+                key, minlength=n_conditions * (_BUCKET_CAP + 1)
+            ).reshape(n_conditions, _BUCKET_CAP + 1)
+            adjacent = hist[:, :-1] + hist[:, 1:]
+            quads = adjacent[:, :-2] + adjacent[:, 2:]
             viable = quads.max(axis=1) >= params.min_genes
-            if not viable.all():
-                flat_keep = viable[cand_pos]
-                cand_pos = cand_pos[flat_keep]
-                mem_pos = mem_pos[flat_keep]
-                genes_flat = genes_flat[flat_keep]
-                scores_flat = scores_flat[flat_keep]
+            if not viable[cands].all():
+                survivors = viable[conds]
+                conds = conds[survivors]
+                owners = owners[survivors]
+                scores_flat = scores_flat[survivors]
+        genes_flat = members[owners]
+        cand_pos = cands.searchsorted(conds)
         counts = np.bincount(cand_pos, minlength=n_cands)
         # Primary key candidate, then score, then gene id — within each
         # candidate segment this is exactly the lexsort((ids, values))
@@ -815,7 +965,7 @@ class RegClusterMiner:
         order = np.lexsort((genes_flat, scores_flat, cand_pos))
         genes_sorted = genes_flat[order]
         scores_sorted = scores_flat[order]
-        in_p_sorted = mem_pos[order] < n_p
+        in_p_sorted = owners[order] < n_pm
         seg_sorted = cand_pos[order]
         seg_ends = np.repeat(np.cumsum(counts) - 1, counts)
         win_starts, win_ends = segmented_maximal_windows(
@@ -831,8 +981,6 @@ class RegClusterMiner:
             stats.candidates_examined += 1
             if degenerate is not None and degenerate[position]:
                 stats.degenerate_genes_dropped += int(degenerate[position])
-            if raw_counts[position] == 0:
-                continue
             first = cursor
             while cursor < n_windows and win_seg[cursor] == position:
                 cursor += 1

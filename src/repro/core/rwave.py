@@ -21,16 +21,17 @@ longest regulation chain that can *start* there (climbing up) or *end*
 there (equivalently: the longest descending chain starting there).  These
 tables implement the paper's MinC pruning (strategy 2).
 
-:class:`RWaveIndex` holds those tables for every gene of a matrix.  It
-computes them for all genes in one vectorized pass (:func:`chain_tables`)
-instead of building one model object per gene, and builds a gene's
-:class:`RWaveModel` only when asked.
+:class:`RWaveIndex` holds the sorted order, the pointer lookups and the
+max-chain tables of every gene of a matrix.  It computes them for all
+genes in one vectorized pass (:func:`chain_tables`) instead of building
+one model object per gene, and builds a gene's :class:`RWaveModel` only
+when asked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -45,7 +46,9 @@ __all__ = [
     "RWaveModel",
     "RWaveIndex",
     "build_rwave",
+    "ChainTables",
     "chain_tables",
+    "table_dtype",
 ]
 
 
@@ -285,18 +288,50 @@ def build_rwave(
 _INDEX_CHUNK = 512
 
 
-def chain_tables(
-    values: ArrayLike, thresholds: ArrayLike
-) -> Tuple[NDArray[np.intp], NDArray[np.intp]]:
-    """MinC max-chain tables of every row, indexed by condition id.
+def table_dtype(n_conditions: int) -> np.dtype:
+    """Narrowest signed integer dtype holding ``-1`` and ``n_conditions``.
 
-    Returns ``(max_up, max_down)``, both shaped like ``values``; row
-    ``g`` equals ``RWaveModel(values[g], thresholds[g])``'s
+    Every index table entry is a position, a condition id, a chain
+    length or a sentinel in ``[-1, C]``: ``int8`` up to 127 conditions.
+    """
+    return np.min_scalar_type(-(n_conditions + 1))
+
+
+class ChainTables(NamedTuple):
+    """The columnar RWave^gamma tables of a block of genes.
+
+    Every table is shaped ``(n_genes, n_conditions)`` in
+    :func:`table_dtype`; all but ``order`` are indexed by condition id.
+    Row ``g`` holds what ``RWaveModel(values[g], thresholds[g])`` holds.
+    """
+
+    #: ``order[g, h]``: the condition at sorted position ``h``
+    order: NDArray[np.signedinteger]
+    #: ``position[g, c]``: the sorted position of condition ``c``
+    position: NDArray[np.signedinteger]
+    #: closest regulation successor position of ``c``, ``C`` if none
+    #: (:meth:`RWaveModel.successor_bound`)
+    successor_bound: NDArray[np.signedinteger]
+    #: closest regulation predecessor position of ``c``, ``-1`` if none
+    #: (:meth:`RWaveModel.predecessor_bound`)
+    predecessor_bound: NDArray[np.signedinteger]
+    #: longest regulation chain starting at ``c`` climbing up
+    max_up: NDArray[np.signedinteger]
+    #: longest regulation chain starting at ``c`` going down
+    max_down: NDArray[np.signedinteger]
+
+
+def chain_tables(values: ArrayLike, thresholds: ArrayLike) -> ChainTables:
+    """The RWave^gamma tables of every row, in one vectorized pass.
+
+    Row ``g`` of each table equals ``RWaveModel(values[g],
+    thresholds[g])``: its ``order`` and ``position``, its Lemma 3.1
+    bounds ``successor_bound(c)`` / ``predecessor_bound(c)`` and its
     ``max_chain_up`` / ``max_chain_down`` scattered back to condition
     ids.  The per-gene model hops to the nearest pointer; that pointer's
     far end is the position's *closest* regulation successor (going up)
-    or predecessor (going down), so the tables need only those two
-    positions.  Over a row's sorted values ``s`` the exact Eq. 3
+    or predecessor (going down), so the max-chain tables need only those
+    two positions.  Over a row's sorted values ``s`` the exact Eq. 3
     predicate ``s[h] - s[q] > gamma_g`` holds on a prefix of ``q`` and a
     suffix of ``h`` (float subtraction is monotone), so both positions
     are counts over one ``(C, C)`` comparison plane per gene.
@@ -304,12 +339,13 @@ def chain_tables(
     data = np.asarray(values, dtype=np.float64)
     per_gene = np.asarray(thresholds, dtype=np.float64)
     n_genes, n_conditions = data.shape
+    dtype = table_dtype(n_conditions)
     order = np.argsort(data, axis=1, kind="stable")
     sorted_values = np.take_along_axis(data, order, axis=1)
     # closest_pred[g, h]: largest position q with s[h] - s[q] > gamma_g
     # (-1 if none); closest_succ[g, q]: smallest such h (C if none).
-    closest_pred = np.empty((n_genes, n_conditions), dtype=np.intp)
-    closest_succ = np.empty((n_genes, n_conditions), dtype=np.intp)
+    closest_pred = np.empty((n_genes, n_conditions), dtype=dtype)
+    closest_succ = np.empty((n_genes, n_conditions), dtype=dtype)
     # One-time build, chunked to bound memory, not a search-time loop.
     for start in range(0, n_genes, _INDEX_CHUNK):  # reglint: disable=RL106
         stop = min(start + _INDEX_CHUNK, n_genes)
@@ -325,36 +361,64 @@ def chain_tables(
     # Sentinel columns (0 past the top for up, 0 before the bottom for
     # down) end a chain that has no further hop.
     genes = np.arange(n_genes)
-    up = np.zeros((n_genes, n_conditions + 1), dtype=np.intp)
-    down = np.zeros((n_genes, n_conditions + 1), dtype=np.intp)
+    up = np.zeros((n_genes, n_conditions + 1), dtype=dtype)
+    down = np.zeros((n_genes, n_conditions + 1), dtype=dtype)
     for pos in range(n_conditions - 1, -1, -1):
         up[:, pos] = 1 + up[genes, closest_succ[:, pos]]
     for pos in range(n_conditions):
         down[:, pos + 1] = 1 + down[genes, closest_pred[:, pos] + 1]
-    max_up = np.empty((n_genes, n_conditions), dtype=np.intp)
-    max_down = np.empty((n_genes, n_conditions), dtype=np.intp)
-    np.put_along_axis(max_up, order, up[:, :-1], axis=1)
-    np.put_along_axis(max_down, order, down[:, 1:], axis=1)
-    return max_up, max_down
+
+    # Flat cell of each (gene, position) entry's condition, shared by
+    # the scatters back to condition ids.
+    cells = (order + (genes * n_conditions)[:, None]).ravel()
+
+    def by_condition(by_position: ArrayLike) -> NDArray[np.signedinteger]:
+        table = np.empty(n_genes * n_conditions, dtype=dtype)
+        table[cells] = np.broadcast_to(by_position, order.shape).ravel()
+        return table.reshape(n_genes, n_conditions)
+
+    return ChainTables(
+        order=order.astype(dtype),
+        position=by_condition(np.arange(n_conditions)),
+        successor_bound=by_condition(closest_succ),
+        predecessor_bound=by_condition(closest_pred),
+        max_up=by_condition(up[:, :-1]),
+        max_down=by_condition(down[:, 1:]),
+    )
 
 
 class RWaveIndex:
-    """Miner-facing RWave^gamma lookup arrays of every gene.
+    """Miner-facing RWave^gamma tables of every gene.
 
-    The miner needs three bulk views, all shaped ``(n_genes,
-    n_conditions)`` and indexed by condition *id*:
+    The index holds the per-gene thresholds and the :class:`ChainTables`
+    of every gene, each an attribute shaped ``(n_genes, n_conditions)``:
 
-    ``max_up[g, c]``
-        longest regulation chain starting at condition ``c`` climbing up;
-    ``max_down[g, c]``
-        same, descending;
-    and the per-gene thresholds.  They are built for every gene at once
-    by :func:`chain_tables`, so chain extension reduces to vectorized
-    numpy arithmetic.  The index keeps only these arrays (plus the
-    matrix and the lazy kernel); :meth:`model` builds a gene's full
-    :class:`RWaveModel` — pointers, Lemma 3.1 queries, Figure 3
+    ``order`` / ``position``
+        each gene's conditions in non-descending value order, and its
+        inverse;
+    ``successor_bound`` / ``predecessor_bound``
+        the Lemma 3.1 pointer lookups by condition id: the regulation
+        successors of ``c`` in gene ``g`` are the conditions at sorted
+        positions ``successor_bound[g, c]`` and beyond, its
+        predecessors those at ``predecessor_bound[g, c]`` and before;
+    ``max_up`` / ``max_down``
+        longest regulation chain starting at condition ``c``, climbing
+        up or going down (the MinC pruning tables).
+
+    They are built for every gene at once by :func:`chain_tables`, so
+    the miner enumerates chain extensions as runs of sorted positions
+    instead of re-deriving Eq. 3.  The index keeps only these arrays
+    (plus the matrix and the lazy kernel); :meth:`model` builds a gene's
+    full :class:`RWaveModel` — pointers, Lemma 3.1 queries, Figure 3
     rendering — on demand.
     """
+
+    order: NDArray[np.signedinteger]
+    position: NDArray[np.signedinteger]
+    successor_bound: NDArray[np.signedinteger]
+    predecessor_bound: NDArray[np.signedinteger]
+    max_up: NDArray[np.signedinteger]
+    max_down: NDArray[np.signedinteger]
 
     def __init__(
         self,
@@ -366,9 +430,7 @@ class RWaveIndex:
         if thresholds is None:
             thresholds = gene_thresholds(matrix, gamma)
         self._assign(matrix, gamma, thresholds)
-        self.max_up, self.max_down = chain_tables(
-            matrix.values, self.thresholds
-        )
+        self._set_tables(chain_tables(matrix.values, self.thresholds))
         # Debug-mode Lemma 3.1 invariant checks (repro.analysis.contracts):
         # a no-op unless contracts are enabled for the process.
         maybe_check_rwave_index(self)
@@ -380,10 +442,9 @@ class RWaveIndex:
         gamma: float,
         *,
         thresholds: ArrayLike,
-        max_up: ArrayLike,
-        max_down: ArrayLike,
+        tables: ChainTables,
     ) -> "RWaveIndex":
-        """Assemble an index from prebuilt max-chain tables.
+        """Assemble an index from prebuilt tables.
 
         The delta-update seam (:mod:`repro.incremental.update`): a
         revision that appends or drops genes leaves the surviving
@@ -396,14 +457,7 @@ class RWaveIndex:
         """
         index = cls.__new__(cls)
         index._assign(matrix, gamma, thresholds)
-        shape = (matrix.n_genes, matrix.n_conditions)
-        index.max_up = np.asarray(max_up, dtype=np.intp)
-        index.max_down = np.asarray(max_down, dtype=np.intp)
-        if index.max_up.shape != shape or index.max_down.shape != shape:
-            raise ValueError(
-                f"max-chain tables must have shape {shape}, got "
-                f"{index.max_up.shape} / {index.max_down.shape}"
-            )
+        index._set_tables(tables)
         maybe_check_rwave_index(index)
         return index
 
@@ -424,6 +478,26 @@ class RWaveIndex:
         self.thresholds: NDArray[np.float64] = per_gene
         self._kernel: Optional[RegulationKernel] = None
 
+    def _set_tables(self, tables: ChainTables) -> None:
+        """Install the tables as attributes, in the matrix's table dtype."""
+        shape = (self.matrix.n_genes, self.matrix.n_conditions)
+        dtype = table_dtype(self.matrix.n_conditions)
+        for name, table in zip(ChainTables._fields, tables):
+            array = np.asarray(table, dtype=dtype)
+            if array.shape != shape:
+                raise ValueError(
+                    f"{name} table must have shape {shape}, got "
+                    f"{array.shape}"
+                )
+            setattr(self, name, array)
+
+    @property
+    def tables(self) -> ChainTables:
+        """The index's tables, e.g. to splice into a delta update."""
+        return ChainTables(
+            *(getattr(self, name) for name in ChainTables._fields)
+        )
+
     def model(self, gene: "int | str") -> RWaveModel:
         """The RWave model of one gene, built from its row and threshold."""
         i = self.matrix.gene_index(gene)
@@ -437,9 +511,10 @@ class RWaveIndex:
 
         The kernel is derived from the same values and thresholds as the
         models, so its bits agree with :meth:`RWaveModel.is_up_regulated`
-        everywhere.  Built on first access and shared by every miner that
-        reuses this index; :meth:`attach_kernel` installs a prebuilt one
-        (e.g. from the service artifact cache).
+        everywhere.  The miner never reads it; the service caches it as
+        an artifact and ships it to fleet nodes.  Built on first access;
+        :meth:`attach_kernel` installs a prebuilt one (e.g. from the
+        service artifact cache).
         """
         if self._kernel is None:
             self._kernel = RegulationKernel(
@@ -476,5 +551,10 @@ class RWaveIndex:
         # Indexes pickled before the kernel attribute existed.
         self.__dict__.setdefault("_kernel", None)
         # Indexes pickled while every gene's model was kept: the tables
-        # above already hold all the miner reads, so the models go.
+        # below already hold all the miner reads, so the models go.
         self.__dict__.pop("models", None)
+        # Indexes pickled before the index kept the sorted order and
+        # the pointer bounds (their max-chain tables were intp): rebuild
+        # every table, so a loaded index equals a cold one.
+        if "successor_bound" not in self.__dict__:
+            self._set_tables(chain_tables(self.matrix.values, self.thresholds))

@@ -18,14 +18,15 @@ makes delta updates exact rather than approximate:
   equivalence suite in ``tests/incremental/test_update.py``.
 
 * **Index** (:class:`~repro.core.rwave.RWaveIndex`): a gene's
-  threshold and max-chain table rows depend only on its own row, so
-  ``append_genes`` stacks the parent's rows on top of rows computed
-  for the new genes only, and ``drop_genes`` slices out the survivors'
-  rows into fresh arrays (the parent index, which may be shared
-  through the artifact cache, is never mutated).  ``append_conditions``
-  changes every row, so the index is rebuilt cold.  That rebuild is a
-  vectorized ``O(G C^2)`` comparison pass like a cold kernel pack,
-  and unlike the kernel it reuses nothing from the parent.
+  threshold and table rows (sorted order, pointer bounds, max-chain
+  lengths) depend only on its own row, so ``append_genes`` stacks the
+  parent's rows on top of rows computed for the new genes only, and
+  ``drop_genes`` slices out the survivors' rows into fresh arrays (the
+  parent index, which may be shared through the artifact cache, is
+  never mutated).  ``append_conditions`` changes every row, so the
+  index is rebuilt cold.  That rebuild is a vectorized ``O(G C^2)``
+  comparison pass like a cold kernel pack, and unlike the kernel it
+  reuses nothing from the parent.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from typing import Tuple
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.core.kernels import DEFAULT_SLICE_CACHE, RegulationKernel
+from repro.core.kernels import RegulationKernel
 from repro.core.regulation import gene_thresholds
-from repro.core.rwave import RWaveIndex, chain_tables
+from repro.core.rwave import ChainTables, RWaveIndex, chain_tables
 from repro.incremental.delta import (
     AppendConditions,
     AppendGenes,
@@ -70,8 +71,7 @@ class IndexUpdate:
     """A delta-updated index plus its reuse accounting."""
 
     index: RWaveIndex
-    #: gene rows (threshold and max-chain tables) carried over from the
-    #: parent index
+    #: gene rows (threshold and tables) carried over from the parent index
     reused_models: int
     #: gene rows computed fresh
     rebuilt_models: int
@@ -177,7 +177,6 @@ def update_kernel(
     delta: MatrixDelta,
     *,
     gamma: float,
-    slice_cache: int = DEFAULT_SLICE_CACHE,
 ) -> KernelUpdate:
     """Delta-update a parent kernel to its child matrix.
 
@@ -200,9 +199,7 @@ def update_kernel(
         )
         packed = np.concatenate([parent_kernel.packed, new_planes], axis=0)
         kernel = RegulationKernel.from_packed(
-            packed,
-            n_conditions=child_matrix.n_conditions,
-            slice_cache=slice_cache,
+            packed, n_conditions=child_matrix.n_conditions
         )
         return KernelUpdate(
             kernel=kernel,
@@ -213,9 +210,7 @@ def update_kernel(
         kept = _kept_gene_indices(parent_matrix, delta)
         packed = np.ascontiguousarray(parent_kernel.packed[kept])
         kernel = RegulationKernel.from_packed(
-            packed,
-            n_conditions=child_matrix.n_conditions,
-            slice_cache=slice_cache,
+            packed, n_conditions=child_matrix.n_conditions
         )
         return KernelUpdate(
             kernel=kernel, reused_planes=int(kept.shape[0]), rebuilt_planes=0
@@ -230,9 +225,7 @@ def update_kernel(
         parent_matrix.n_conditions,
     )
     kernel = RegulationKernel.from_packed(
-        packed,
-        n_conditions=child_matrix.n_conditions,
-        slice_cache=slice_cache,
+        packed, n_conditions=child_matrix.n_conditions
     )
     return KernelUpdate(
         kernel=kernel, reused_planes=reused, rebuilt_planes=rebuilt
@@ -271,15 +264,21 @@ def update_index(
                 "parent index thresholds disagree with the child matrix; "
                 "the parent index does not belong to this lineage"
             )
-        new_up, new_down = chain_tables(
+        new_rows = chain_tables(
             child_matrix.values[n_old:], child_thresholds[n_old:]
         )
         index = RWaveIndex.from_parts(
             child_matrix,
             gamma,
             thresholds=child_thresholds,
-            max_up=np.vstack([parent_index.max_up, new_up]),
-            max_down=np.vstack([parent_index.max_down, new_down]),
+            tables=ChainTables(
+                *(
+                    np.vstack([parent_rows, rows])
+                    for parent_rows, rows in zip(
+                        parent_index.tables, new_rows
+                    )
+                )
+            ),
         )
         return IndexUpdate(
             index=index,
@@ -301,8 +300,7 @@ def update_index(
         child_matrix,
         gamma,
         thresholds=child_thresholds,
-        max_up=parent_index.max_up[kept],
-        max_down=parent_index.max_down[kept],
+        tables=ChainTables(*(table[kept] for table in parent_index.tables)),
     )
     return IndexUpdate(
         index=index, reused_models=int(kept.shape[0]), rebuilt_models=0

@@ -135,6 +135,22 @@ class TestCompare:
         assert any("new" in line for line in lines)
         assert any("only in baseline" in line for line in lines)
 
+    @pytest.mark.parametrize("field", ["clusters", "nodes_expanded"])
+    def test_a_different_search_fails_the_gate(self, field):
+        """Equal times prove nothing when the two runs searched apart:
+        a path that skipped nodes must not pass as a fast one."""
+        current = snapshot_with([("a", 1.0)])
+        baseline = snapshot_with([("a", 1.0)])
+        for snapshot, value in ((current, 40), (baseline, 41)):
+            snapshot["cases"][0].update(clusters=7, nodes_expanded=900)
+            snapshot["cases"][0][field] = value
+        lines, regressions = compare_snapshots(
+            current, baseline, tolerance=0.3
+        )
+        assert len(regressions) == 1
+        assert f"{field} 40 vs 41" in regressions[0]
+        assert any("DIFFERENT SEARCH" in line for line in lines)
+
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tolerance"):
             compare_snapshots(

@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.kernels import DEFAULT_SLICE_CACHE, RegulationKernel
+from repro.core.kernels import RegulationKernel
 from repro.core.rwave import RWaveIndex
 from repro.matrix.expression import ExpressionMatrix
 
@@ -96,51 +96,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-negative"):
             RegulationKernel(np.zeros((2, 3)), np.array([0.1, -0.1]))
 
-    def test_rejects_negative_cache(self):
-        with pytest.raises(ValueError, match="slice_cache"):
-            RegulationKernel(np.zeros((2, 3)), np.zeros(2), slice_cache=-1)
-
     def test_condition_out_of_range(self):
         kernel, _ = kernel_for(random_matrix(5, 4))
         with pytest.raises(IndexError, match="out of range"):
             kernel.up_slice(4)
         with pytest.raises(IndexError, match="out of range"):
             kernel.down_slice(-1)
-
-
-class TestSliceCache:
-    def test_hit_returns_same_array(self):
-        kernel, _ = kernel_for(random_matrix())
-        first = kernel.up_slice(2)
-        assert kernel.up_slice(2) is first
-
-    def test_lru_eviction(self):
-        kernel, _ = kernel_for(random_matrix(8, 10), slice_cache=2)
-        kernel.up_slice(0)
-        kernel.up_slice(1)
-        kernel.up_slice(2)  # evicts 0
-        assert kernel.cache_info() == (2, 0)
-        zero = kernel.up_slice(0)  # rebuilt, evicts 1
-        assert kernel.up_slice(0) is zero
-
-    def test_cache_disabled(self):
-        kernel, _ = kernel_for(random_matrix(8, 10), slice_cache=0)
-        first = kernel.up_slice(3)
-        second = kernel.up_slice(3)
-        assert first is not second
-        np.testing.assert_array_equal(first, second)
-        assert kernel.cache_info() == (0, 0)
-
-    def test_clear_cache(self):
-        kernel, _ = kernel_for(random_matrix())
-        kernel.up_slice(0)
-        kernel.down_slice(0)
-        assert kernel.cache_info() == (1, 1)
-        kernel.clear_cache()
-        assert kernel.cache_info() == (0, 0)
-
-    def test_default_covers_typical_condition_counts(self):
-        assert DEFAULT_SLICE_CACHE >= 64
 
 
 class TestIntrospectionAndPickle:
@@ -156,7 +117,8 @@ class TestIntrospectionAndPickle:
         kernel.up_slice(1)
         kernel.down_slice(2)
         clone = pickle.loads(pickle.dumps(kernel))
-        assert clone.cache_info() == (0, 0)
+        # Only the packed tensor and its shape travel: no dense slices.
+        assert set(vars(clone)) == {"n_genes", "n_conditions", "_packed"}
         np.testing.assert_array_equal(clone._packed, kernel._packed)
         for last in range(values.shape[1]):
             np.testing.assert_array_equal(

@@ -243,3 +243,21 @@ def test_contracts_reject_unsorted_values():
     model.sorted_values = model.sorted_values[::-1].copy()
     with pytest.raises(ContractViolation):
         check_rwave_model(model)
+
+
+def test_contracts_reject_a_corrupt_pointer_bound():
+    """A wrong successor bound would hand the miner a wrong run."""
+    index = RWaveIndex(ExpressionMatrix([[1.0, 5.0, 2.0, 9.0]]), 0.2)
+    index.successor_bound = index.successor_bound.copy()
+    index.successor_bound[0, 0] -= 1
+    with pytest.raises(ContractViolation, match="successor_bound"):
+        check_rwave_index(index)
+
+
+def test_contracts_reject_a_non_monotone_reach_table():
+    """The miner's runs need max_up non-increasing along sorted order."""
+    index = RWaveIndex(ExpressionMatrix([[1.0, 5.0, 2.0, 9.0]]), 0.2)
+    index.max_up = index.max_up.copy()
+    index.max_up[0, index.order[0, -1]] = index.max_up[0].max() + 1
+    with pytest.raises(ContractViolation, match="increases along"):
+        check_rwave_index(index)

@@ -40,6 +40,12 @@ def _assert_indexes_identical(updated, matrix):
     np.testing.assert_array_equal(updated.max_down, cold.max_down)
     assert updated.max_up.dtype == cold.max_up.dtype
     assert updated.max_down.dtype == cold.max_down.dtype
+    # The sorted order and pointer bounds the miner enumerates runs from.
+    for name in ("order", "position", "successor_bound", "predecessor_bound"):
+        np.testing.assert_array_equal(
+            getattr(updated, name), getattr(cold, name)
+        )
+        assert getattr(updated, name).dtype == getattr(cold, name).dtype
 
 
 class TestKernelAppendConditions:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
-from repro.core.rwave import RWaveIndex
+from repro.core.miner import RegClusterMiner
+from repro.core.params import MiningParameters
+from repro.core.rwave import ChainTables, RWaveIndex
 from repro.matrix.summary import matrix_digest
 from repro.service.cache import ArtifactCache
 
@@ -65,6 +69,35 @@ class TestIndexArtifacts:
         np.testing.assert_array_equal(again.thresholds, fresh.thresholds)
         np.testing.assert_array_equal(again.max_up, fresh.max_up)
         np.testing.assert_array_equal(again.max_down, fresh.max_down)
+
+    def test_legacy_state_without_run_tables_loads(
+        self, cache, running_example
+    ):
+        """Index pickles from before the index kept each gene's sorted
+        order and pointer bounds (their max-chain tables were intp) load
+        with every table rebuilt as a cold build makes it."""
+        digest = matrix_digest(running_example)
+        legacy = RWaveIndex(running_example, 0.15)
+        for name in (
+            "order", "position", "successor_bound", "predecessor_bound"
+        ):
+            delattr(legacy, name)
+        legacy.max_up = legacy.max_up.astype(np.intp)
+        legacy.max_down = legacy.max_down.astype(np.intp)
+        cache.put_index(digest, 0.15, legacy)
+        again = cache.get_index(digest, 0.15)
+        assert again is not None
+        fresh = RWaveIndex(running_example, 0.15)
+        for name, table in zip(ChainTables._fields, fresh.tables):
+            np.testing.assert_array_equal(getattr(again, name), table)
+            assert getattr(again, name).dtype == table.dtype
+        params = MiningParameters(
+            min_genes=3, min_conditions=5, gamma=0.15, epsilon=0.1
+        )
+        mined = RegClusterMiner(running_example, params, index=again).mine()
+        assert mined.clusters == (
+            RegClusterMiner(running_example, params).mine().clusters
+        )
 
 
 class TestResultArtifacts:
@@ -138,6 +171,24 @@ class TestKernelArtifacts:
         assert again.shape == kernel.shape
         for last in range(running_example.n_conditions):
             assert (again.up_slice(last) == kernel.up_slice(last)).all()
+
+    def test_legacy_state_with_slice_cache_loads(
+        self, cache, running_example
+    ):
+        """Kernel pickles from when the kernel kept an LRU of dense
+        slices load without the cache's attributes."""
+        digest = matrix_digest(running_example)
+        kernel = RWaveIndex(running_example, 0.15).kernel
+        kernel.slice_cache = 64
+        kernel._up_cache = OrderedDict()
+        kernel._down_cache = OrderedDict()
+        cache.put_kernel(digest, 0.15, kernel)
+        artifact = next(cache.root.glob("kernel-*.pkl")).read_bytes()
+        assert b"slice_cache" in artifact
+        again = cache.get_kernel(digest, 0.15)
+        assert again is not None
+        assert set(vars(again)) == {"n_genes", "n_conditions", "_packed"}
+        np.testing.assert_array_equal(again.packed, kernel.packed)
 
     def test_keyed_by_gamma(self, cache, running_example):
         digest = matrix_digest(running_example)
