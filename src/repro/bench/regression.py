@@ -1,9 +1,9 @@
 """Benchmark-regression gate: pinned workloads, JSON snapshots, tolerance.
 
 The miner's performance work (chain extensions enumerated from the
-RWave^gamma index's sorted order and pointer bounds, scored in batched
-search nodes) needs a gate that keeps it from silently eroding.  This
-module provides one:
+RWave^gamma index's sorted order and pointer bounds, walked and scored
+by a native kernel once per search node) needs a gate that keeps it
+from silently eroding.  This module provides one:
 
 * a **pinned suite** of mining workloads — the paper's running example
   plus fixed-seed Figure 7 generator points — every case fully
@@ -156,6 +156,8 @@ def _peak_rss_kb() -> int:
 def run_case(case: BenchCase, *, use_kernel: bool = True) -> Dict[str, Any]:
     """Measure one case: best wall time over repeats, plus search stats.
 
+    ``use_kernel`` asks for a path; the entry records the one that ran.
+
     The matrix is built once outside the timed region; each repeat
     constructs a fresh miner (which builds its RWave^gamma index, also
     untimed) and times the full search.  The *minimum* wall time over
@@ -172,8 +174,10 @@ def run_case(case: BenchCase, *, use_kernel: bool = True) -> Dict[str, Any]:
     index_build = time.perf_counter() - start
     timings: List[float] = []
     result = None
+    ran_kernel = False
     for __ in range(max(case.repeats, 1)):
         miner = RegClusterMiner(matrix, params, use_kernel=use_kernel)
+        ran_kernel = miner.uses_kernel
         start = time.perf_counter()
         result = miner.mine()
         timings.append(time.perf_counter() - start)
@@ -182,7 +186,9 @@ def run_case(case: BenchCase, *, use_kernel: bool = True) -> Dict[str, Any]:
     stats = result.statistics
     return {
         "case": case.name,
-        "use_kernel": bool(use_kernel),
+        # The path that ran: without a C compiler the fast path falls
+        # back to the legacy one (RegClusterMiner.uses_kernel).
+        "use_kernel": ran_kernel,
         "repeats": len(timings),
         "wall_seconds": wall,
         "wall_seconds_mean": math.fsum(timings) / len(timings),
@@ -227,6 +233,7 @@ def run_suite(
         "schema": SNAPSHOT_SCHEMA,
         "revision": _git_revision(),
         "scale": scale,
+        # The path asked for; each case records the one that ran.
         "use_kernel": bool(use_kernel),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
@@ -413,8 +420,11 @@ def compare_snapshots(
     than ``tolerance`` (fractional: ``0.3`` allows up to 1.3x), or when
     the two snapshots timed different searches: a case's ``clusters``
     or ``nodes_expanded`` differ, so a path that skipped nodes cannot
-    pass as a fast one.  Cases present in only one snapshot are reported
-    but never fail the gate — suites are allowed to grow.
+    pass as a fast one.  A snapshot that asked for the fast path but
+    whose case ran the legacy one (no C compiler) fails too: it would
+    otherwise gate legacy against legacy.  Cases present in only one
+    snapshot are reported but never fail the gate — suites are allowed
+    to grow.
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
@@ -448,6 +458,11 @@ def compare_snapshots(
         ]
         if differing:
             status = "DIFFERENT SEARCH"
+        fell_back = bool(current.get("use_kernel")) and (
+            entry.get("use_kernel") is False
+        )
+        if fell_back:
+            status = "LEGACY PATH RAN"
         lines.append(
             f"{name:<20} {base['wall_seconds']:>10.4f} "
             f"{entry['wall_seconds']:>12.4f} {ratio:>6.2f}x  {status}"
@@ -462,6 +477,11 @@ def compare_snapshots(
             regressions.append(
                 f"{name}: timed a different search than the baseline "
                 f"({', '.join(differing)})"
+            )
+        if fell_back:
+            regressions.append(
+                f"{name}: the fast path was asked for but the legacy "
+                f"path ran (no native run kernel)"
             )
     for name in base_by_name:
         lines.append(f"{name:<20} (present only in baseline)")

@@ -46,9 +46,9 @@ from typing import Optional, Sequence
 
 from repro.bench.report import ascii_series
 from repro.bench.runner import run_sweep
-from repro.core.miner import mine_reg_clusters
+from repro.core.miner import RegClusterMiner
 from repro.core.params import MiningParameters
-from repro.core.rwave import build_rwave
+from repro.core.rwave import RWaveIndex, build_rwave
 from repro.core.serialize import load_result, save_result
 from repro.core.thresholds import resolve_strategy
 from repro.core.validate import validation_errors
@@ -456,25 +456,21 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     if args.threshold_strategy != "range_fraction":
         strategy = resolve_strategy(args.threshold_strategy)
         thresholds = strategy(matrix, args.gamma)
+    # Shard workers build their miners from this miner's index, on the
+    # same machine, so they take the path it takes.
+    miner = RegClusterMiner(matrix, args.parameters, thresholds=thresholds)
     if args.workers > 1 or args.trace:
-        result = _mine_sharded_cli(args, matrix, thresholds)
+        result = _mine_sharded_cli(args, matrix, miner.index)
         if result is None:
             return 1
     else:
-        result = mine_reg_clusters(
-            matrix,
-            min_genes=args.min_genes,
-            min_conditions=args.min_conditions,
-            gamma=args.gamma,
-            epsilon=args.epsilon,
-            max_clusters=args.max_clusters,
-            thresholds=thresholds,
-        )
+        result = miner.mine()
     print(f"{len(result)} reg-cluster(s)")
     for index, cluster in enumerate(result, start=1):
         print(f"[{index}]")
         print(cluster.describe(matrix))
     if args.stats:
+        print(f"  path: {'native' if miner.uses_kernel else 'legacy'}")
         for key, value in result.statistics.as_dict().items():
             print(f"  {key}: {value}")
         for key, seconds in result.statistics.timers.as_dict().items():
@@ -488,19 +484,17 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 def _mine_sharded_cli(
     args: argparse.Namespace,
     matrix: "ExpressionMatrix",
-    thresholds: "Optional[NDArray[np.float64]]",
+    index: RWaveIndex,
 ) -> "Optional[MiningResult]":
     """The ``mine --workers/--trace`` path: sharded, optionally traced.
 
     Returns ``None`` (after reporting) when shards were lost — the
     degraded payload is not printed as if it were complete.
     """
-    from repro.core.rwave import RWaveIndex
     from repro.obs.trace import NULL_TRACER, Tracer
     from repro.service.executor import mine_sharded_outcome
 
     params: MiningParameters = args.parameters
-    index = RWaveIndex(matrix, params.gamma, thresholds=thresholds)
     tracer = (
         Tracer(args.trace, overwrite=True) if args.trace else NULL_TRACER
     )

@@ -31,22 +31,27 @@ Chain extensions are enumerated from the RWave^gamma index
 (:class:`repro.core.rwave.RWaveIndex`): for a member gene the conditions
 that extend its chain (Eq. 3) and can still reach ``MinC`` (pruning 2)
 form one contiguous run of its sorted conditions, bounded by one pointer
-lookup (Lemma 3.1) and one reach limit per gene.  Every node turns its
-members' runs into one flat array of (candidate, member) pairs, scores
-them with one vectorized Eq. 7 expression and partitions every
-candidate's windows with one segmented scan.  Gene-membership splits go
-through one reusable boolean scratch mask over the full gene axis (no
-per-node ``np.isin`` / ``np.union1d`` allocations), and the Eq. 7
-baseline ``d_c2 - d_c1`` is computed once per depth-2 branch root
-instead of at every extension.  ``use_kernel=False`` selects the legacy
+lookup (Lemma 3.1) and one reach limit per gene.  A small C kernel
+(``_runs.c``, built on first use and bound with :mod:`ctypes` by
+:mod:`repro.core._runs`) makes two passes per node: one walks every
+member's run and counts each condition's p-member support; after the
+Python support filter, the other emits the viable (candidate, member)
+pairs and, from depth 2, scores each with Eq. 7 from the member's own
+row, drops non-finite scores and applies the coherence bucket
+prefilter.  The few surviving pairs go through one (candidate, score,
+gene) lexsort and one segmented window scan in numpy; the many nodes
+where none survive skip both.  Gene-membership splits go through one reusable boolean scratch
+mask over the full gene axis.  ``use_kernel=False`` selects the legacy
 per-candidate path, which re-derives Eq. 3 from raw values at every
-node — kept both as the equivalence oracle (the two are proven
-bit-identical in ``tests/core/test_miner_kernel_equivalence.py`` and
+node and keeps a per-branch Eq. 7 baseline ``d_c2 - d_c1`` — kept both
+as the equivalence oracle (the two are proven bit-identical in
+``tests/core/test_miner_kernel_equivalence.py`` and
 ``tests/core/test_miner_differential.py``) and as the measured baseline
-of ``BENCH_baseline.json``.  Each search phase (candidate generation /
-window partition / emit) is timed into :class:`PhaseTimers`, surfaced by
-``reg-cluster mine --stats``, the service job records and the
-benchmark-regression suite.
+of ``BENCH_baseline.json``; it is also the path taken, with a
+``RuntimeWarning``, where no C compiler can build the kernel.  Each
+search phase (candidate generation / window partition / emit) is timed
+into :class:`PhaseTimers`, surfaced by ``reg-cluster mine --stats``, the
+service job records and the benchmark-regression suite.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from typing import (
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.core._runs import RunPass, run_kernel
 from repro.core.chain import is_representative
 from repro.core.cluster import RegCluster
 from repro.core.params import MiningParameters
@@ -232,8 +238,8 @@ class _SearchLimitReached(Exception):
     """Internal signal: max_clusters emitted, unwind the recursion."""
 
 
-#: Histogram resolution of the coherence prefilter in
-#: :meth:`RegClusterMiner._extend_batched`.  Scores beyond
+#: Histogram resolution of the coherence prefilter the run kernel applies
+#: for :meth:`RegClusterMiner._extend_batched`.  Scores beyond
 #: ``min + _BUCKET_CAP * epsilon`` share the top bucket — merging buckets
 #: only relaxes the bound, so clipping never drops a viable candidate.
 #: Kept small: the histograms are rebuilt at every search node, and a
@@ -255,11 +261,13 @@ class RegClusterMiner:
         Lossless-pruning switches, defaults to all on.
     use_kernel:
         Take the fast path (default): enumerate chain extensions as
-        runs of the RWave^gamma index's sorted conditions and score
-        each node's extensions in one flat pass.  ``False`` re-derives
-        Eq. 3 from raw values per candidate — the legacy path, kept as
-        the measured baseline and equivalence oracle; both paths emit
-        bit-identical results.  (The name predates the run enumeration;
+        runs of the RWave^gamma index's sorted conditions and walk and
+        score each node's runs in the native run kernel.  ``False``
+        re-derives Eq. 3 from raw values per candidate — the legacy
+        path, kept as the measured baseline and equivalence oracle;
+        both paths emit bit-identical results.  Without a C compiler
+        the fast path is unavailable and the legacy one runs (see
+        :attr:`uses_kernel`).  (The name predates the run enumeration;
         neither path reads the index's regulation kernel.)
 
     Examples
@@ -338,18 +346,29 @@ class RegClusterMiner:
             self.index = RWaveIndex(matrix, params.gamma, thresholds=thresholds)
         self._values = matrix.values
         self._thresholds = self.index.thresholds
-        #: the legacy per-candidate path (``use_kernel=False``)
-        self._legacy = not use_kernel
-        #: flat views for the fast path's pair gathers
-        self._values_flat = matrix.values.ravel()
-        self._order_flat = self.index.order.ravel()
+        #: the fast path's binding of the native run kernel; ``None`` on
+        #: the legacy path, also taken when the kernel cannot be built.
+        self._runs: Optional[RunPass] = None
+        kernel = run_kernel(self.index.order.dtype) if use_kernel else None
+        if kernel is not None:
+            self._runs = RunPass(
+                kernel,
+                (
+                    self.index.order,
+                    self.index.successor_bound,
+                    self.index.predecessor_bound,
+                ),
+                matrix.values,
+                _BUCKET_CAP,
+            )
         #: reusable boolean scratch over the full gene axis — membership
         #: splits and distinct-gene counts without per-node allocation.
         self._scratch: NDArray[np.bool_] = np.zeros(
             matrix.n_genes, dtype=np.bool_
         )
-        #: Eq. 7 denominator d_c2 - d_c1 for every gene, refreshed at
-        #: each depth-2 branch root (valid for the whole subtree).
+        #: the legacy path's Eq. 7 denominator d_c2 - d_c1 for every
+        #: gene, refreshed at each depth-2 branch root (valid for the
+        #: whole subtree); the kernel computes it from each member's row.
         self._baseline: NDArray[np.float64] = np.zeros(
             matrix.n_genes, dtype=np.float64
         )
@@ -361,11 +380,13 @@ class RegClusterMiner:
 
     @property
     def uses_kernel(self) -> bool:
-        """Whether the search takes the fast path (``use_kernel=True``).
+        """Whether the search takes the fast path.
 
-        ``False`` on the legacy per-candidate oracle path.
+        ``False`` on the legacy per-candidate oracle path: asked for with
+        ``use_kernel=False``, or taken because the native run kernel
+        could not be built (no C compiler; warned once per process).
         """
-        return not self._legacy
+        return self._runs is not None
 
     # ------------------------------------------------------------------
     # Public API
@@ -569,6 +590,10 @@ class RegClusterMiner:
         if depth >= self.matrix.n_conditions:
             return
 
+        if self._runs is not None:
+            self._extend_runs(self._runs, chain, p_members, n_members)
+            return
+
         if depth == 2:
             # Eq. 7 baseline d_c2 - d_c1 for the whole branch: every
             # descendant of this node shares (c1, c2), so the per-gene
@@ -578,10 +603,6 @@ class RegClusterMiner:
                 self._values[:, chain[0]],
                 out=self._baseline,
             )
-
-        if not self._legacy:
-            self._extend_runs(chain, p_members, n_members)
-            return
 
         phase_started = perf_counter()
         candidates = list(self._candidates(chain, p_members, n_members))
@@ -654,7 +675,8 @@ class RegClusterMiner:
         last condition for the p-members and its predecessors for the
         n-members (prunings 2 and 3a make scanning n-members for support
         unnecessary).  The Eq. 3 tests are derived from raw values: this
-        is the legacy path's dense oracle for :meth:`_extension_pairs`.
+        is the legacy path's dense oracle for the runs that
+        :meth:`_extend_runs` walks.
         """
         params = self.params
         last = chain[-1]
@@ -759,19 +781,14 @@ class RegClusterMiner:
             self._reach_cache[need] = runs
         return runs
 
-    def _extension_pairs(
+    def _extend_runs(
         self,
+        runs: RunPass,
         chain: Tuple[int, ...],
-        members: NDArray[np.intp],
-        n_pm: int,
-    ) -> Tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.intp]]:
-        """Viable extensions of a chain as flat (candidate, member) pairs.
-
-        ``members`` lists the node's p-members, then its n-members (the
-        first ``n_pm`` are p-members).  Returns ``(cands, conds,
-        owners)``: the candidate conditions in ascending order, then one
-        entry per complying pair — its condition and the index of its
-        member in ``members`` — in member order.
+        p_members: NDArray[np.intp],
+        n_members: NDArray[np.intp],
+    ) -> None:
+        """Expand every extension of a node, enumerated from RWave runs.
 
         Why one run per member: over a gene's sorted values ``s`` float
         subtraction is monotone, so ``s[h] - s[last] > gamma_g`` (Eq. 3)
@@ -780,75 +797,30 @@ class RegClusterMiner:
         pruning 2 holds on a prefix (:meth:`_reach_runs`).  A p-member's
         extensions are the run where both hold; an n-member's are the
         mirror image, from its reach limit up to ``last``'s closest
-        predecessor.  Candidates need enough p-member support (prunings
-        2 and 3a make scanning n-members for support unnecessary).  The
+        predecessor.  No chain condition lies in a run: values strictly
+        rise along a p-member's chain and fall along an n-member's, so
+        every chain condition sits on the far side of ``last`` from its
+        run.  Candidates need enough p-member support (prunings 2 and 3a
+        make scanning n-members for support unnecessary).  The native
+        kernel walks the runs (:class:`repro.core._runs.RunPass`); the
         legacy :meth:`_candidate_matrix` finds the same pairs densely.
         """
-        params = self.params
-        index = self.index
-        last = chain[-1]
-        n_conditions = self.matrix.n_conditions
-        up_end, down_start = self._reach_runs(
-            params.min_conditions - len(chain)
-        )
-        p_members = members[:n_pm]
-        n_members = members[n_pm:]
-        # Each member's run of sorted positions is [first, stop).
-        first = np.concatenate(
-            (index.successor_bound[:, last][p_members], down_start[n_members]),
-            dtype=np.intp,
-        )
-        stop = np.concatenate(
-            (
-                up_end[p_members],
-                index.predecessor_bound[:, last][n_members] + 1,
-            ),
-            dtype=np.intp,
-        )
-        np.maximum(stop, first, out=stop)
-        lengths = stop - first
-        ends = lengths.cumsum()
-        total = int(ends[-1]) if ends.shape[0] else 0
-        # Pair k of a member reads ``order`` at ``shift[member] + k``:
-        # the flat offset of its row's ``stop``, less its last pair's
-        # slot + 1.
-        shift = members * n_conditions
-        shift += stop
-        shift -= ends
-        flat = shift.repeat(lengths)
-        flat += np.arange(total)
-        conds = self._order_flat[flat].astype(np.intp)
-        owners = np.arange(members.shape[0]).repeat(lengths)
-
-        # No chain condition lies in a run: values strictly rise along a
-        # p-member's chain and fall along an n-member's, so every chain
-        # condition sits on the far side of ``last`` from its run.
-        n_p = int(ends[n_pm - 1]) if n_pm else 0
-        support = np.bincount(conds[:n_p], minlength=n_conditions)
-        viable = self._viable(chain, support)
-        keep = viable[conds]
-        if not keep.all():
-            conds = conds[keep]
-            owners = owners[keep]
-        return viable.nonzero()[0], conds, owners
-
-    def _extend_runs(
-        self,
-        chain: Tuple[int, ...],
-        p_members: NDArray[np.intp],
-        n_members: NDArray[np.intp],
-    ) -> None:
-        """Expand every extension of a node, enumerated from RWave runs."""
         stats = self._stats
         timers = stats.timers
         phase_started = perf_counter()
         members = np.concatenate((p_members, n_members))
         n_pm = p_members.shape[0]
-        cands, conds, owners = self._extension_pairs(chain, members, n_pm)
+        runs.walk(
+            members, n_pm, chain[-1],
+            self._reach_runs(self.params.min_conditions - len(chain)),
+        )
+        viable = self._viable(chain, runs.support)
+        cands = viable.nonzero()[0]
         if len(chain) >= 2:
             timers.candidates += perf_counter() - phase_started
-            self._extend_batched(chain, cands, conds, owners, members, n_pm)
+            self._extend_batched(runs, chain, cands, viable, members, n_pm)
             return
+        conds, owners = runs.pairs(members, viable)
         # Depth 1: group the pairs by candidate.  The stable sort keeps
         # each group in member order, p-members first, as the legacy
         # children are; on the narrow table dtype it is a radix sort.
@@ -880,106 +852,78 @@ class RegClusterMiner:
 
     def _extend_batched(
         self,
+        runs: RunPass,
         chain: Tuple[int, ...],
         cands: NDArray[np.intp],
-        conds: NDArray[np.intp],
-        owners: NDArray[np.intp],
+        viable: NDArray[np.bool_],
         members: NDArray[np.intp],
         n_pm: int,
     ) -> None:
         """Score and branch every candidate extension in one flat pass.
 
         The per-candidate legacy loop pays numpy call overhead on tiny
-        arrays tens of thousands of times; this path takes every
-        candidate's complying genes as the flat pairs of
-        :meth:`_extension_pairs`, computes all Eq. 7 scores with one
-        vectorized expression, canonicalizes the order with a single
-        (candidate, score, gene) lexsort and partitions all candidates'
-        windows with one segmented scan.  The per-candidate bookkeeping
-        loop then only touches precomputed arrays, so statistics, tracer
-        events and recursion order — and therefore the emitted clusters
-        — are bit-identical to the legacy path.
+        arrays tens of thousands of times; this path has the native
+        kernel emit every viable (candidate, member) pair with its Eq. 7
+        score, drop non-finite scores and apply the coherence prefilter
+        (:meth:`RunPass.scored`), then canonicalizes the survivors'
+        order with a single (candidate, score, gene) lexsort and
+        partitions all candidates' windows with one segmented scan.  The
+        per-candidate bookkeeping loop then only touches precomputed
+        arrays, so statistics, tracer events and recursion order — and
+        therefore the emitted clusters — are bit-identical to the legacy
+        path.
+
+        The prefilter: a window of spread <= epsilon occupies at most two
+        adjacent epsilon-wide buckets of ``(score - low) / epsilon``
+        (four with the slack of the float bucketing itself), so a
+        candidate whose best 4-adjacent-bucket count stays below MinG
+        provably has no valid window.  It is conservative for any
+        ``low`` at or below every score (the kernel takes the least);
+        scores beyond ``low + _BUCKET_CAP * epsilon`` share the top
+        bucket, which only relaxes the bound.
         """
         stats = self._stats
         timers = stats.timers
         params = self.params
-        last = chain[-1]
         n_cands = cands.shape[0]
         if n_cands == 0:
             return
 
         phase_started = perf_counter()
-        n_conditions = self.matrix.n_conditions
-        scores_flat = self._values_flat[
-            (members * n_conditions)[owners] + conds
-        ]
-        scores_flat -= self._values[members, last][owners]
-        scores_flat /= self._baseline[members][owners]
-        finite = np.isfinite(scores_flat)
-        if finite.all():
-            degenerate = None
-        else:
-            # Degenerate baselines (defensive — valid members always have
-            # |d_c2 - d_c1| > gamma_g >= 0); drop and count per candidate.
-            degenerate = np.bincount(
-                conds[~finite], minlength=n_conditions
-            )[cands]
-            conds = conds[finite]
-            owners = owners[finite]
-            scores_flat = scores_flat[finite]
-        epsilon = params.epsilon
-        if epsilon > 0.0 and scores_flat.shape[0]:
-            # Coherence prefilter: a window of spread <= epsilon occupies
-            # at most two adjacent epsilon-wide histogram buckets (four
-            # with the slack of the float bucketing itself), so a
-            # candidate whose best 4-adjacent-bucket count stays below
-            # MinG provably has no valid window — cheaper than sorting
-            # its scores.  The bound is conservative: survivors still go
-            # through the exact segmented scan below.  Histogram rows are
-            # conditions; a non-candidate's row is empty.  Offsets from
-            # the minimum are >= 0, so only the top bucket is clipped.
-            low = np.minimum.reduce(scores_flat)
-            clipped = np.minimum(
-                (scores_flat - low) / epsilon, float(_BUCKET_CAP)
-            )
-            key = conds * np.int64(_BUCKET_CAP + 1) + clipped.astype(
-                np.int64
-            )
-            hist = np.bincount(
-                key, minlength=n_conditions * (_BUCKET_CAP + 1)
-            ).reshape(n_conditions, _BUCKET_CAP + 1)
-            adjacent = hist[:, :-1] + hist[:, 1:]
-            quads = adjacent[:, :-2] + adjacent[:, 2:]
-            viable = quads.max(axis=1) >= params.min_genes
-            if not viable[cands].all():
-                survivors = viable[conds]
-                conds = conds[survivors]
-                owners = owners[survivors]
-                scores_flat = scores_flat[survivors]
-        genes_flat = members[owners]
-        cand_pos = cands.searchsorted(conds)
-        counts = np.bincount(cand_pos, minlength=n_cands)
-        # Primary key candidate, then score, then gene id — within each
-        # candidate segment this is exactly the lexsort((ids, values))
-        # order of coherent_gene_windows.
-        order = np.lexsort((genes_flat, scores_flat, cand_pos))
-        genes_sorted = genes_flat[order]
-        scores_sorted = scores_flat[order]
-        in_p_sorted = owners[order] < n_pm
-        seg_sorted = cand_pos[order]
-        seg_ends = np.repeat(np.cumsum(counts) - 1, counts)
-        win_starts, win_ends = segmented_maximal_windows(
-            scores_sorted, seg_sorted, seg_ends,
-            params.epsilon, params.min_genes,
+        conds, owners, scores_flat = runs.scored(
+            members, viable, chain, params.epsilon, params.min_genes
         )
-        win_seg = seg_sorted[win_starts]
+        # Degenerate baselines (defensive — valid members always have
+        # |d_c2 - d_c1| > gamma_g >= 0): dropped, counted per candidate.
+        degenerate = runs.degenerate[cands]
+        n_windows = 0
+        # Most nodes keep no pair (every candidate fails coherence); they
+        # skip the sort and the scan and only book their rejections.
+        if conds.shape[0]:
+            genes_flat = members[owners]
+            cand_pos = cands.searchsorted(conds)
+            counts = np.bincount(cand_pos, minlength=n_cands)
+            # Primary key candidate, then score, then gene id — within
+            # each candidate segment this is exactly the
+            # lexsort((ids, values)) order of coherent_gene_windows.
+            order = np.lexsort((genes_flat, scores_flat, cand_pos))
+            genes_sorted = genes_flat[order]
+            scores_sorted = scores_flat[order]
+            in_p_sorted = owners[order] < n_pm
+            seg_sorted = cand_pos[order]
+            seg_ends = np.repeat(np.cumsum(counts) - 1, counts)
+            win_starts, win_ends = segmented_maximal_windows(
+                scores_sorted, seg_sorted, seg_ends,
+                params.epsilon, params.min_genes,
+            )
+            win_seg = seg_sorted[win_starts]
+            n_windows = win_starts.shape[0]
         timers.windows += perf_counter() - phase_started
 
-        n_windows = win_starts.shape[0]
         cursor = 0
         for position in range(n_cands):
             stats.candidates_examined += 1
-            if degenerate is not None and degenerate[position]:
+            if degenerate[position]:
                 stats.degenerate_genes_dropped += int(degenerate[position])
             first = cursor
             while cursor < n_windows and win_seg[cursor] == position:

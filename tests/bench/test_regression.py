@@ -80,6 +80,14 @@ class TestRunCase:
             "candidates", "windows", "emit"
         }
 
+    def test_records_the_path_that_ran(self, monkeypatch):
+        """Without the native kernel the fast path falls back to the
+        legacy one, and the entry says so."""
+        import repro.core.miner as miner_module
+
+        monkeypatch.setattr(miner_module, "run_kernel", lambda dtype: None)
+        assert run_case(TINY, use_kernel=True)["use_kernel"] is False
+
     def test_paths_agree_on_output_size(self):
         kernel = run_case(TINY, use_kernel=True)
         legacy = run_case(TINY, use_kernel=False)
@@ -150,6 +158,24 @@ class TestCompare:
         assert len(regressions) == 1
         assert f"{field} 40 vs 41" in regressions[0]
         assert any("DIFFERENT SEARCH" in line for line in lines)
+
+    def test_a_legacy_run_on_the_fast_side_fails_the_gate(self):
+        """A runner without a compiler must not pass perf-smoke by
+        gating the legacy path against itself."""
+        current = snapshot_with([("a", 1.0)])
+        baseline = snapshot_with([("a", 1.0)])
+        current["use_kernel"] = True
+        baseline["use_kernel"] = False
+        for snapshot in (current, baseline):
+            snapshot["cases"][0]["use_kernel"] = False
+        lines, regressions = compare_snapshots(
+            current, baseline, tolerance=0.3
+        )
+        assert len(regressions) == 1
+        assert "legacy path ran" in regressions[0]
+        assert any("LEGACY PATH RAN" in line for line in lines)
+        current["cases"][0]["use_kernel"] = True
+        assert compare_snapshots(current, baseline)[1] == []
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tolerance"):

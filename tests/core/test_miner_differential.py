@@ -5,7 +5,8 @@ index's sorted conditions; ``use_kernel=False`` re-derives Eq. 3 from
 raw values per candidate.  On generated matrices — ties, constant rows,
 embedded shift-and-scale clusters with both signs of ``s1`` (so p- and
 n-members occur, Lemma 3.2), condition counts on and around byte
-boundaries — both paths must agree exactly: the cluster list in emission
+boundaries, including 128 where the index tables widen from int8 to
+int16 — both paths must agree exactly: the cluster list in emission
 order, every search statistic and every Figure 6 trace event, under
 every pruning configuration and with or without a ``max_clusters`` cap.
 """
@@ -25,7 +26,7 @@ from repro.core.rwave import RWaveIndex, RWaveModel, table_dtype
 from repro.core.trace import SearchTrace
 from repro.matrix.expression import ExpressionMatrix
 
-CONDITION_COUNTS = (7, 8, 9, 16, 17)
+CONDITION_COUNTS = (7, 8, 9, 16, 17, 127, 128, 129)
 ALL_PRUNINGS = [
     PruningConfig(*flags)
     for flags in itertools.product((True, False), repeat=4)
@@ -118,6 +119,31 @@ def test_run_enumeration_matches_the_legacy_path(prunings, case):
     # The tracer only observes: the untraced fast path agrees too.
     untraced = mine_traced(matrix, params, prunings, True, trace=False)
     assert untraced[:2] == fast[:2]
+
+
+def test_an_overflowing_eq7_quotient_is_dropped_alike_on_both_paths():
+    """A subnormal baseline d_c2 - d_c1 still complies at gamma = 0, and
+    the next step's quotient overflows to inf: both paths drop and count
+    those genes identically."""
+    tiny = np.nextafter(0.0, 1.0)
+    values = np.array(
+        [
+            [0.0, tiny, 1e300, 2.0],
+            [0.0, tiny, 3e300, 4.0],
+            [0.0, tiny, 2e300, 3.0],
+            [0.0, 1.0, 2.0, 3.0],
+            [0.0, 2.0, 4.0, 6.0],
+        ]
+    )
+    params = MiningParameters(
+        min_genes=2, min_conditions=3, gamma=0.0, epsilon=0.1
+    )
+    legacy = mine_traced(ExpressionMatrix(values), params, PruningConfig(),
+                         use_kernel=False)
+    fast = mine_traced(ExpressionMatrix(values), params, PruningConfig(),
+                       use_kernel=True)
+    assert fast == legacy
+    assert legacy[1]["degenerate_genes_dropped"] > 0
 
 
 @pytest.mark.parametrize("n_genes", [511, 512, 513])
