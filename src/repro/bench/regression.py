@@ -5,10 +5,11 @@ RWave^gamma index's sorted order and pointer bounds, walked and scored
 by a native kernel once per search node) needs a gate that keeps it
 from silently eroding.  This module provides one:
 
-* a **pinned suite** of mining workloads — the paper's running example
-  plus fixed-seed Figure 7 generator points — every case fully
-  determined by pinned seeds, so two runs on one machine measure the
-  same search;
+* a **pinned suite** of mining workloads — the paper's running example,
+  fixed-seed Figure 7 generator points and cuts of the Figure 8 yeast
+  surrogate mined with the section 5.2 parameters (a search of many
+  small nodes) — every case fully determined by pinned seeds, so two
+  runs on one machine measure the same search;
 * a **snapshot** format, ``BENCH_<rev>.json``: per-case wall time,
   nodes/second, peak RSS and the miner's phase breakdown (candidate
   generation / window partition / emission), plus enough metadata to
@@ -57,6 +58,8 @@ from repro.core.params import MiningParameters
 from repro.core.rwave import RWaveIndex
 from repro.datasets.running_example import load_running_example
 from repro.datasets.synthetic import SyntheticConfig, make_synthetic_dataset
+from repro.datasets.yeast import make_yeast_surrogate
+from repro.experiments.fig8 import PAPER_YEAST_PARAMETERS
 from repro.matrix.expression import ExpressionMatrix
 
 __all__ = [
@@ -105,6 +108,11 @@ def _fig7(**overrides: int) -> Tuple[ExpressionMatrix, MiningParameters]:
     return data.matrix, paper_mining_parameters(config.n_genes)
 
 
+def _fig8(n_genes: int) -> Tuple[ExpressionMatrix, MiningParameters]:
+    surrogate = make_yeast_surrogate(shape=(n_genes, 17))
+    return surrogate.matrix, PAPER_YEAST_PARAMETERS
+
+
 #: Tiny cases for CI perf-smoke: seconds, not minutes, per run.
 SMOKE_CASES: Tuple[BenchCase, ...] = (
     BenchCase("running-example", _running_example, repeats=5),
@@ -113,11 +121,14 @@ SMOKE_CASES: Tuple[BenchCase, ...] = (
         lambda: _fig7(n_genes=400, n_conditions=16, n_clusters=6),
         repeats=3,
     ),
+    BenchCase("fig8-smoke", lambda: _fig8(600), repeats=3),
 )
 
 #: The committed-snapshot suite: the Figure 7 default generator point
 #: (3000 genes x 30 conditions x 30 clusters, seed 0) is the case the
-#: kernel speedup claim is made on.
+#: kernel speedup claim is made on; ``fig8-yeast`` is the section 5.2
+#: workload cut to 1200 of its 2884 genes, so the legacy side stays
+#: affordable.
 FULL_CASES: Tuple[BenchCase, ...] = SMOKE_CASES + (
     BenchCase(
         "fig7-genes-1000",
@@ -129,6 +140,7 @@ FULL_CASES: Tuple[BenchCase, ...] = SMOKE_CASES + (
         lambda: _fig7(),
         repeats=3,
     ),
+    BenchCase("fig8-yeast", lambda: _fig8(1200), repeats=3),
 )
 
 

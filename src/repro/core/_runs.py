@@ -28,10 +28,12 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
+
+from repro.core.rwave import RWaveIndex
 
 __all__ = ["RunKernel", "RunPass", "run_kernel"]
 
@@ -43,12 +45,10 @@ _WIDTHS = {1: "i8", 2: "i16", 4: "i32"}
 
 _P = ctypes.c_void_p
 _N = ctypes.c_ssize_t
-_WALK_ARGS = (_P, _P, _P, _N, _N, _P, _P, _P, _N, _N, _P, _P, _P)
+_WALK_ARGS = (_P, _N, _N, _P, _P, _N, _N)
 _EMIT_ARGS = (
-    _P, _N, _P, _N, _P, _P, _P, _P, _P,
-    _P, _N, _N, _N, ctypes.c_double, _N, _N, _P, _P, _P, _P,
+    _P, _N, _N, _N, ctypes.c_int, _N, _N, _N, ctypes.c_double, _N, _N,
 )
-
 
 
 class RunKernel(NamedTuple):
@@ -190,177 +190,185 @@ def run_kernel(table_dtype: np.dtype) -> Optional[RunKernel]:
     return None if kernels is None else kernels[table_dtype.itemsize]
 
 
-_INTP = np.dtype(np.intp)
-_BOOL = np.dtype(np.bool_)
+class _Pass(ctypes.Structure):
+    """The addresses of a :class:`RunPass`'s arrays: ``pass_t`` in
+    ``_runs.c``, field for field."""
 
-
-def _pointer(array: NDArray[Any], dtype: np.dtype, length: int) -> int:
-    """The data address of a C-contiguous 1-D ``dtype`` array of exactly
-    ``length`` entries: what the kernel reads or writes through it."""
-    if (
-        array.dtype != dtype
-        or not array.flags.c_contiguous
-        or array.shape != (length,)
-    ):
-        raise ValueError(
-            f"the run kernel needs a C-contiguous {dtype} vector of "
-            f"{length} entries"
+    _fields_ = [
+        (name, ctypes.c_void_p)
+        for name in (
+            "order", "successor_bound", "predecessor_bound", "values",
+            "members", "first", "stop", "support", "viable",
+            "conds", "owners", "scores", "degenerate", "hist", "offsets",
+            "slots", "genes", "in_p", "windows",
         )
-    return int(array.ctypes.data)
+    ]
 
 
 class RunPass:
-    """One miner's binding of the kernel: its tables and scratch buffers.
+    """One miner's binding of the kernel: every array it reads or writes.
 
-    Pointers to the fixed arrays — the index's ``order`` and pointer
-    bounds, the values — are taken once; the pair buffers grow on
-    demand.  Every miner owns its own, so jobs on concurrent threads
-    (the kernel runs without the GIL) never share a buffer.  The arrays
-    :meth:`pairs` and :meth:`scored` return are views into the buffers,
-    valid until the next call.
+    The index's tables and the values are kept with the scratch and
+    output buffers; each address is handed to the kernel once, in a
+    :class:`_Pass`.  The pair and window buffers grow on demand.
+    :meth:`walk` and :meth:`emit` copy their inputs into the owned
+    buffers (a slice assignment refuses one that does not fit), so the
+    kernel never reads an array it was not built for.  Every miner owns
+    its own pass, so jobs on concurrent threads (the kernel runs without
+    the GIL) never share a buffer.  :attr:`windows`, :attr:`genes` and
+    :attr:`in_p` are overwritten by the next :meth:`emit`.
     """
 
-    def __init__(
-        self,
-        kernel: RunKernel,
-        tables: Sequence[NDArray[np.signedinteger]],
-        values: NDArray[np.float64],
-        cap: int,
-    ) -> None:
-        self._kernel = kernel
-        #: order, successor_bound, predecessor_bound, values (kept alive)
-        self._fixed: List[NDArray[Any]] = [
-            np.ascontiguousarray(table) for table in tables
+    def __init__(self, kernel: RunKernel, index: RWaveIndex, cap: int) -> None:
+        tables = [
+            np.ascontiguousarray(table)
+            for table in (
+                index.order, index.successor_bound, index.predecessor_bound
+            )
         ]
-        self._fixed.append(np.ascontiguousarray(values, dtype=np.float64))
-        order = self._fixed[0]
+        values = np.ascontiguousarray(index.matrix.values, dtype=np.float64)
         if (
-            len({(a.shape, a.dtype) for a in self._fixed[:3]}) != 1
-            or order.shape != values.shape
-            or order.dtype.itemsize != kernel.width
+            len({(table.shape, table.dtype) for table in tables}) != 1
+            or tables[0].shape != values.shape
+            or tables[0].dtype.itemsize != kernel.width
         ):
             raise ValueError(
                 "the run tables must share the values' shape and one "
                 "dtype of the kernel's width"
             )
-        self._order, self._successor, self._predecessor, self._values = (
-            array.ctypes.data for array in self._fixed
-        )
-        self._n_genes, self._n_conditions = values.shape
+        self._kernel = kernel
+        self._index = index
         self._cap = cap
-        #: each member's run [first, stop); a depth-1 node may list a
-        #: gene as p- and as n-member
-        self._bounds = np.zeros((2, 2 * self._n_genes), dtype=np.intp)
-        #: members of the last :meth:`walk`, whose runs the pair
-        #: buffers are sized for
-        self._walked = 0
+        n_genes, conditions = values.shape
+        self._n_conditions = conditions
+        self._pass = _Pass()
+        self._address = ctypes.addressof(self._pass)
+        #: each array handed to the kernel, kept alive by name
+        self._arrays: Dict[str, NDArray[Any]] = {}
+        #: p-members then n-members of the last :meth:`walk`; a depth-1
+        #: node may list a gene as both
+        self.members = np.zeros(2 * n_genes, dtype=np.intp)
         #: p-member support of every condition (:meth:`walk`)
-        self.support = np.empty(self._n_conditions, dtype=np.intp)
-        #: dropped non-finite scores per condition (:meth:`scored`)
-        self.degenerate = np.empty(self._n_conditions, dtype=np.intp)
-        self._hist = np.empty(self._n_conditions * (cap + 1), dtype=np.intp)
-        self._alive = np.empty(self._n_conditions, dtype=np.uint8)
-        self._scratch = [
-            array.ctypes.data
-            for array in (
-                self._bounds[0], self._bounds[1], self.support,
-                self.degenerate, self._hist, self._alive,
-            )
-        ]
+        self.support = np.zeros(conditions, dtype=np.intp)
+        #: dropped non-finite scores per condition (:meth:`emit`)
+        self.degenerate = np.zeros(conditions, dtype=np.intp)
+        self._viable = np.zeros(conditions, dtype=np.bool_)
+        self._bind(
+            order=tables[0], successor_bound=tables[1],
+            predecessor_bound=tables[2], values=values,
+            members=self.members,
+            first=np.zeros(2 * n_genes, dtype=np.intp),
+            stop=np.zeros(2 * n_genes, dtype=np.intp),
+            support=self.support, viable=self._viable,
+            degenerate=self.degenerate,
+            hist=np.zeros(conditions * (cap + 1), dtype=np.intp),
+            offsets=np.zeros(conditions + 1, dtype=np.intp),
+        )
+        #: pruning (2) by remaining chain length: the ``(up_end,
+        #: down_start)`` rows and their addresses
+        self._reach: Dict[int, Tuple[NDArray[np.intp], int, int]] = {}
+        #: members and p-members of the last :meth:`walk`
+        self._last_walk = (0, 0)
         self._grow(1024)
 
-    def _grow(self, capacity: int) -> None:
-        self._conds = np.empty(capacity, dtype=np.intp)
-        self._owners = np.empty(capacity, dtype=np.intp)
-        self._scores = np.empty(capacity, dtype=np.float64)
-        self._pairs = [
-            array.ctypes.data
-            for array in (self._conds, self._owners, self._scores)
-        ]
+    def _bind(self, **arrays: NDArray[Any]) -> None:
+        for name, array in arrays.items():
+            self._arrays[name] = array
+            setattr(self._pass, name, array.ctypes.data)
 
-    def _members(self, members: NDArray[np.intp]) -> int:
-        """The address of ``members``; the kernel keeps one run each."""
-        if members.shape[0] > self._bounds.shape[1]:
-            raise ValueError(
-                "the run kernel takes at most "
-                f"{self._bounds.shape[1]} members"
+    def _grow(self, capacity: int) -> None:
+        self._capacity = capacity
+        #: ``(condition, first, last)`` of every window of the last
+        #: :meth:`emit`, indexing :attr:`genes` and :attr:`in_p`
+        self.windows = np.empty((capacity, 3), dtype=np.intp)
+        #: the last emit's pairs grouped by condition, sorted by (score,
+        #: gene) from depth 2: their genes and p-member flags
+        self.genes = np.empty(capacity, dtype=np.intp)
+        self.in_p = np.empty(capacity, dtype=np.bool_)
+        self._bind(
+            conds=np.empty(capacity, dtype=np.intp),
+            owners=np.empty(capacity, dtype=np.intp),
+            scores=np.empty(capacity, dtype=np.float64),
+            # three float64 hold one slot_t
+            slots=np.empty((capacity, 3), dtype=np.float64),
+            genes=self.genes, in_p=self.in_p, windows=self.windows,
+        )
+
+    def _reach_limits(self, need: int) -> Tuple[int, int]:
+        """Pruning (2) as per-gene limits on sorted positions.
+
+        ``max_up`` never increases along a gene's sorted conditions: a
+        chain that climbs from one value can climb from any lower value
+        instead (float subtraction is monotone).  So ``max_up >= need``
+        holds on a prefix ``[0, up_end[g])`` of the sorted positions,
+        and likewise ``max_down >= need`` on a suffix ``[down_start[g],
+        C)``.  ``need <= 1`` keeps every position.
+        """
+        need = max(need, 1)
+        limits = self._reach.get(need)
+        if limits is None:
+            index = self._index
+            reach = np.empty((2, index.max_up.shape[0]), dtype=np.intp)
+            reach[0] = np.count_nonzero(index.max_up >= need, axis=1)
+            reach[1] = self._n_conditions - np.count_nonzero(
+                index.max_down >= need, axis=1
             )
-        return _pointer(members, _INTP, members.shape[0])
+            address = reach.ctypes.data
+            limits = (reach, address, address + reach.strides[0])
+            self._reach[need] = limits
+        return limits[1:]
 
     def walk(
         self,
-        members: NDArray[np.intp],
-        n_pm: int,
+        p_members: NDArray[np.intp],
+        n_members: NDArray[np.intp],
         last: int,
-        reach: Tuple[NDArray[np.intp], NDArray[np.intp]],
+        need: int,
     ) -> None:
         """Each member's run, and :attr:`support` from the p-members'.
 
-        ``members`` lists the node's p-members, then its n-members (the
-        first ``n_pm``); ``reach`` holds every gene's pruning-2 limits
-        ``(up_end, down_start)`` on its sorted positions.
+        The members are gene ids of the index, ``last`` the chain's last
+        condition.  ``need`` is the chain length still to grow,
+        candidate included: a run keeps the positions whose longest
+        chain reaches it.
         """
-        first, stop, support = self._scratch[:3]
-        genes = self._n_genes
+        n_pm = p_members.shape[0]
+        count = n_pm + n_members.shape[0]
+        self.members[:n_pm] = p_members
+        self.members[n_pm:count] = n_members
+        up_end, down_start = self._reach_limits(need)
         total = self._kernel.walk(
-            self._order, self._successor, self._predecessor,
-            self._n_conditions, last,
-            _pointer(reach[0], _INTP, genes),
-            _pointer(reach[1], _INTP, genes),
-            self._members(members), members.shape[0], n_pm,
-            first, stop, support,
+            self._address, self._n_conditions, last, up_end, down_start,
+            count, n_pm,
         )
-        self._walked = members.shape[0]
-        if total > self._conds.shape[0]:
-            self._grow(max(total, 2 * self._conds.shape[0]))
+        self._last_walk = (count, n_pm)
+        if total > self._capacity:
+            self._grow(max(total, 2 * self._capacity))
 
-    def _emit(
+    def emit(
         self,
-        members: NDArray[np.intp],
         viable: NDArray[np.bool_],
-        values: Optional[int],
         chain: Tuple[int, ...],
         epsilon: float,
         min_genes: int,
     ) -> int:
-        if members.shape[0] != self._walked:
-            raise ValueError(
-                "the run kernel emits the pairs of the members it last "
-                "walked"
-            )
-        first, stop, __, degenerate, hist, alive = self._scratch
-        conds, owners, scores = self._pairs
+        """The coherent windows of the walked members' viable pairs.
+
+        From depth 2 the pairs are scored with Eq. 7, less the
+        non-finite scores (counted in :attr:`degenerate`) and the
+        conditions the bucket prefilter rules out; each condition's
+        pairs are sorted by (score, gene) and split into its maximal
+        windows of spread <= ``epsilon`` and at least ``min_genes``
+        genes.  At depth 1 each condition's pairs, in member order, are
+        one window.  Returns the number of rows of :attr:`windows`.
+        """
+        self._viable[:] = viable
+        count, n_pm = self._last_walk
+        scored = len(chain) >= 2
         return int(
             self._kernel.emit(
-                self._order, self._n_conditions,
-                self._members(members), members.shape[0], first, stop,
-                _pointer(viable, _BOOL, self._n_conditions),
-                conds, owners,
-                values, chain[-1], chain[0], chain[1], epsilon, min_genes,
-                self._cap, scores, degenerate, hist, alive,
+                self._address, self._n_conditions, count, n_pm, scored,
+                chain[-1], chain[0], chain[1] if scored else chain[0],
+                epsilon, min_genes, self._cap,
             )
         )
-
-    def pairs(
-        self, members: NDArray[np.intp], viable: NDArray[np.bool_]
-    ) -> Tuple[NDArray[np.intp], NDArray[np.intp]]:
-        """``(conds, owners)`` of every run entry of a viable condition,
-        in member then run order (after :meth:`walk`)."""
-        kept = self._emit(members, viable, None, (0, 0), 0.0, 0)
-        return self._conds[:kept], self._owners[:kept]
-
-    def scored(
-        self,
-        members: NDArray[np.intp],
-        viable: NDArray[np.bool_],
-        chain: Tuple[int, ...],
-        epsilon: float,
-        min_genes: int,
-    ) -> Tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.float64]]:
-        """:meth:`pairs` with their Eq. 7 scores, less the non-finite
-        ones (counted in :attr:`degenerate`) and the conditions the
-        bucket prefilter rules out."""
-        kept = self._emit(
-            members, viable, self._values, chain, epsilon, min_genes
-        )
-        return self._conds[:kept], self._owners[:kept], self._scores[:kept]

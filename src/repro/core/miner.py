@@ -33,15 +33,18 @@ that extend its chain (Eq. 3) and can still reach ``MinC`` (pruning 2)
 form one contiguous run of its sorted conditions, bounded by one pointer
 lookup (Lemma 3.1) and one reach limit per gene.  A small C kernel
 (``_runs.c``, built on first use and bound with :mod:`ctypes` by
-:mod:`repro.core._runs`) makes two passes per node: one walks every
-member's run and counts each condition's p-member support; after the
-Python support filter, the other emits the viable (candidate, member)
-pairs and, from depth 2, scores each with Eq. 7 from the member's own
-row, drops non-finite scores and applies the coherence bucket
-prefilter.  The few surviving pairs go through one (candidate, score,
-gene) lexsort and one segmented window scan in numpy; the many nodes
-where none survive skip both.  Gene-membership splits go through one reusable boolean scratch
-mask over the full gene axis.  ``use_kernel=False`` selects the legacy
+:mod:`repro.core._runs`) makes two calls per node, on buffers its
+:class:`~repro.core._runs.RunPass` owns: one walks every member's run
+and counts each condition's p-member support; after the Python support
+filter, the other lists the viable (candidate, member) pairs and
+returns every candidate's coherent windows.  From depth 2 it scores each
+pair with Eq. 7 from the member's own row, drops non-finite scores,
+applies the coherence bucket prefilter, sorts each candidate's pairs by
+(score, gene) and scans their maximal windows; at depth 1 each
+candidate's members are its one window.  One Python loop per node then
+books each candidate and recurses into its windows.  Gene-membership
+splits go through one reusable boolean scratch mask over the full gene
+axis.  ``use_kernel=False`` selects the legacy
 per-candidate path, which re-derives Eq. 3 from raw values at every
 node and keeps a per-branch Eq. 7 baseline ``d_c2 - d_c1`` — kept both
 as the equivalence oracle (the two are proven bit-identical in
@@ -79,7 +82,7 @@ from repro.core.cluster import RegCluster
 from repro.core.params import MiningParameters
 from repro.core.rwave import RWaveIndex
 from repro.core.trace import SearchTrace
-from repro.core.window import coherent_gene_windows, segmented_maximal_windows
+from repro.core.window import coherent_gene_windows
 from repro.matrix.expression import ExpressionMatrix
 from repro.obs.trace import Tracer
 
@@ -239,7 +242,7 @@ class _SearchLimitReached(Exception):
 
 
 #: Histogram resolution of the coherence prefilter the run kernel applies
-#: for :meth:`RegClusterMiner._extend_batched`.  Scores beyond
+#: for :meth:`RegClusterMiner._extend_runs`.  Scores beyond
 #: ``min + _BUCKET_CAP * epsilon`` share the top bucket — merging buckets
 #: only relaxes the bound, so clipping never drops a viable candidate.
 #: Kept small: the histograms are rebuilt at every search node, and a
@@ -351,16 +354,7 @@ class RegClusterMiner:
         self._runs: Optional[RunPass] = None
         kernel = run_kernel(self.index.order.dtype) if use_kernel else None
         if kernel is not None:
-            self._runs = RunPass(
-                kernel,
-                (
-                    self.index.order,
-                    self.index.successor_bound,
-                    self.index.predecessor_bound,
-                ),
-                matrix.values,
-                _BUCKET_CAP,
-            )
+            self._runs = RunPass(kernel, self.index, _BUCKET_CAP)
         #: reusable boolean scratch over the full gene axis — membership
         #: splits and distinct-gene counts without per-node allocation.
         self._scratch: NDArray[np.bool_] = np.zeros(
@@ -372,10 +366,8 @@ class RegClusterMiner:
         self._baseline: NDArray[np.float64] = np.zeros(
             matrix.n_genes, dtype=np.float64
         )
-        #: pruning (2) keyed by the remaining chain length, built once
-        #: per distinct ``need``: run limits ``(up_end, down_start)`` per
-        #: gene on the fast path, ``max_up/max_down >= need`` masks on
-        #: the legacy one.
+        #: the legacy path's pruning (2) masks ``max_up/max_down >=
+        #: need``, built once per remaining chain length ``need``.
         self._reach_cache: Dict[int, Tuple[NDArray, NDArray]] = {}
 
     @property
@@ -757,30 +749,6 @@ class RegClusterMiner:
                 n_members[down_sel[:, position]],
             )
 
-    def _reach_runs(
-        self, need: int
-    ) -> Tuple[NDArray[np.intp], NDArray[np.intp]]:
-        """Pruning (2) as per-gene limits on sorted positions.
-
-        ``max_up`` never increases along a gene's sorted conditions: a
-        chain that climbs from one value can climb from any lower value
-        instead (float subtraction is monotone).  So ``max_up >= need``
-        holds on a prefix ``[0, up_end[g])`` of the sorted positions,
-        and likewise ``max_down >= need`` on a suffix ``[down_start[g],
-        C)``.  ``need <= 1`` (or pruning 2 off) keeps every position.
-        """
-        if not self.prunings.reachability or need < 1:
-            need = 1
-        runs = self._reach_cache.get(need)
-        if runs is None:
-            up_end = np.count_nonzero(self.index.max_up >= need, axis=1)
-            down_start = self.matrix.n_conditions - np.count_nonzero(
-                self.index.max_down >= need, axis=1
-            )
-            runs = (up_end, down_start)
-            self._reach_cache[need] = runs
-        return runs
-
     def _extend_runs(
         self,
         runs: RunPass,
@@ -794,84 +762,27 @@ class RegClusterMiner:
         subtraction is monotone, so ``s[h] - s[last] > gamma_g`` (Eq. 3)
         holds on a suffix of positions ``h``, starting at ``last``'s
         closest regulation successor (one pointer lookup, Lemma 3.1);
-        pruning 2 holds on a prefix (:meth:`_reach_runs`).  A p-member's
-        extensions are the run where both hold; an n-member's are the
-        mirror image, from its reach limit up to ``last``'s closest
-        predecessor.  No chain condition lies in a run: values strictly
-        rise along a p-member's chain and fall along an n-member's, so
-        every chain condition sits on the far side of ``last`` from its
-        run.  Candidates need enough p-member support (prunings 2 and 3a
-        make scanning n-members for support unnecessary).  The native
-        kernel walks the runs (:class:`repro.core._runs.RunPass`); the
-        legacy :meth:`_candidate_matrix` finds the same pairs densely.
-        """
-        stats = self._stats
-        timers = stats.timers
-        phase_started = perf_counter()
-        members = np.concatenate((p_members, n_members))
-        n_pm = p_members.shape[0]
-        runs.walk(
-            members, n_pm, chain[-1],
-            self._reach_runs(self.params.min_conditions - len(chain)),
-        )
-        viable = self._viable(chain, runs.support)
-        cands = viable.nonzero()[0]
-        if len(chain) >= 2:
-            timers.candidates += perf_counter() - phase_started
-            self._extend_batched(runs, chain, cands, viable, members, n_pm)
-            return
-        conds, owners = runs.pairs(members, viable)
-        # Depth 1: group the pairs by candidate.  The stable sort keeps
-        # each group in member order, p-members first, as the legacy
-        # children are; on the narrow table dtype it is a radix sort.
-        grouped = owners[
-            np.argsort(conds.astype(self.index.order.dtype), kind="stable")
-        ]
-        ends = np.bincount(conds, minlength=self.matrix.n_conditions)[
-            cands
-        ].cumsum()
-        children = []
-        for condition, end, count in zip(
-            cands, ends, np.diff(ends, prepend=0)
-        ):
-            group = grouped[end - count : end]
-            split = int(group.searchsorted(n_pm))
-            children.append(
-                (
-                    chain + (int(condition),),
-                    members[group[:split]],
-                    members[group[split:]],
-                )
-            )
-        timers.candidates += perf_counter() - phase_started
-        for extended, child_p, child_n in children:
-            stats.candidates_examined += 1
-            # The new pair *is* the baseline: every member scores H = 1,
-            # so there is exactly one (trivially coherent) window.
-            self._expand(extended, child_p, child_n)
+        pruning 2 holds on a prefix (``max_up`` never increases along
+        the sorted conditions).  A p-member's extensions are the run
+        where both hold; an n-member's are the mirror image, from its
+        reach limit up to ``last``'s closest predecessor.  No chain
+        condition lies in a run: values strictly rise along a p-member's
+        chain and fall along an n-member's, so every chain condition
+        sits on the far side of ``last`` from its run.  Candidates need
+        enough p-member support (prunings 2 and 3a make scanning
+        n-members for support unnecessary).  The legacy
+        :meth:`_candidate_matrix` finds the same pairs densely.
 
-    def _extend_batched(
-        self,
-        runs: RunPass,
-        chain: Tuple[int, ...],
-        cands: NDArray[np.intp],
-        viable: NDArray[np.bool_],
-        members: NDArray[np.intp],
-        n_pm: int,
-    ) -> None:
-        """Score and branch every candidate extension in one flat pass.
-
-        The per-candidate legacy loop pays numpy call overhead on tiny
-        arrays tens of thousands of times; this path has the native
-        kernel emit every viable (candidate, member) pair with its Eq. 7
-        score, drop non-finite scores and apply the coherence prefilter
-        (:meth:`RunPass.scored`), then canonicalizes the survivors'
-        order with a single (candidate, score, gene) lexsort and
-        partitions all candidates' windows with one segmented scan.  The
-        per-candidate bookkeeping loop then only touches precomputed
-        arrays, so statistics, tracer events and recursion order — and
-        therefore the emitted clusters — are bit-identical to the legacy
-        path.
+        The native kernel (:class:`repro.core._runs.RunPass`) walks the
+        runs, then emits every viable candidate's windows: from depth 2
+        the pairs' Eq. 7 scores, less the non-finite ones, pass the
+        coherence prefilter and are split into maximal windows in
+        (score, gene) order, as :func:`coherent_gene_windows` would; at
+        depth 1 the new pair *is* the Eq. 7 baseline (every member
+        scores H = 1), so each candidate's members, p-members first,
+        form its one window.  The per-candidate loop then books
+        statistics and tracer events and recurses in the legacy order,
+        so the emitted clusters are bit-identical.
 
         The prefilter: a window of spread <= epsilon occupies at most two
         adjacent epsilon-wide buckets of ``(score - low) / epsilon``
@@ -885,63 +796,49 @@ class RegClusterMiner:
         stats = self._stats
         timers = stats.timers
         params = self.params
-        n_cands = cands.shape[0]
-        if n_cands == 0:
-            return
-
         phase_started = perf_counter()
-        conds, owners, scores_flat = runs.scored(
-            members, viable, chain, params.epsilon, params.min_genes
+        runs.walk(
+            p_members, n_members, chain[-1],
+            params.min_conditions - len(chain)
+            if self.prunings.reachability else 1,
         )
+        viable = self._viable(chain, runs.support)
+        cands = viable.nonzero()[0].tolist()
+        emit_started = perf_counter()
+        timers.candidates += emit_started - phase_started
+        if not cands:
+            return
+        n_windows = runs.emit(viable, chain, params.epsilon, params.min_genes)
+        # The next node reuses the kernel's buffers: copy this one's out.
+        windows = runs.windows[:n_windows].tolist()
+        stop = windows[-1][2] + 1 if windows else 0
+        genes = runs.genes[:stop].copy()
+        in_p = runs.in_p[:stop].copy()
         # Degenerate baselines (defensive — valid members always have
         # |d_c2 - d_c1| > gamma_g >= 0): dropped, counted per candidate.
-        degenerate = runs.degenerate[cands]
-        n_windows = 0
-        # Most nodes keep no pair (every candidate fails coherence); they
-        # skip the sort and the scan and only book their rejections.
-        if conds.shape[0]:
-            genes_flat = members[owners]
-            cand_pos = cands.searchsorted(conds)
-            counts = np.bincount(cand_pos, minlength=n_cands)
-            # Primary key candidate, then score, then gene id — within
-            # each candidate segment this is exactly the
-            # lexsort((ids, values)) order of coherent_gene_windows.
-            order = np.lexsort((genes_flat, scores_flat, cand_pos))
-            genes_sorted = genes_flat[order]
-            scores_sorted = scores_flat[order]
-            in_p_sorted = owners[order] < n_pm
-            seg_sorted = cand_pos[order]
-            seg_ends = np.repeat(np.cumsum(counts) - 1, counts)
-            win_starts, win_ends = segmented_maximal_windows(
-                scores_sorted, seg_sorted, seg_ends,
-                params.epsilon, params.min_genes,
-            )
-            win_seg = seg_sorted[win_starts]
-            n_windows = win_starts.shape[0]
-        timers.windows += perf_counter() - phase_started
+        degenerate = runs.degenerate[viable].tolist()
+        if len(chain) >= 2:
+            timers.windows += perf_counter() - emit_started
+        else:
+            timers.candidates += perf_counter() - emit_started
 
         cursor = 0
-        for position in range(n_cands):
+        for condition, dropped in zip(cands, degenerate):
             stats.candidates_examined += 1
-            if degenerate[position]:
-                stats.degenerate_genes_dropped += int(degenerate[position])
+            stats.degenerate_genes_dropped += dropped
+            extended = chain + (condition,)
             first = cursor
-            while cursor < n_windows and win_seg[cursor] == position:
+            while cursor < n_windows and windows[cursor][0] == condition:
                 cursor += 1
             if cursor == first:
                 stats.coherence_rejections += 1
                 if self.tracer is not None:
-                    self.tracer.record(
-                        chain + (int(cands[position]),), "pruned_coherence"
-                    )
+                    self.tracer.record(extended, "pruned_coherence")
                 continue
-            extended = chain + (int(cands[position]),)
-            for index in range(first, cursor):
-                start = win_starts[index]
-                end = win_ends[index]
-                window = genes_sorted[start : end + 1]
-                in_p = in_p_sorted[start : end + 1]
-                self._expand(extended, window[in_p], window[~in_p])
+            for __, start, end in windows[first:cursor]:
+                window = genes[start : end + 1]
+                picks = in_p[start : end + 1]
+                self._expand(extended, window[picks], window[~picks])
 
     # ------------------------------------------------------------------
     # Coherence scores for one extension step

@@ -7,16 +7,19 @@ partitioned into *maximal* intervals whose score spread is at most
 branch of the search.  Intervals may overlap, which is why reg-clusters
 themselves may overlap.
 
-The window scan is the hottest phase of the search (it runs once per
-examined candidate), so the partition is computed vectorized: one
-:func:`numpy.searchsorted` proposes every window end at once, then a
-fix-up pass re-checks the proposals against the *exact* predicate
-``scores[end] - scores[start] <= epsilon`` — the cutoff ``scores[start] +
-epsilon`` used by the binary search can disagree with the subtraction
-form in the last ulp, and the window boundaries must match the scalar
-definition bit for bit.  The original scalar two-pointer scan is kept as
-:func:`_scan_maximal_windows`, both as the reference the property tests
-compare against and as the fallback for non-finite scores.
+The miner's fast path scans its windows in the native run kernel
+(``_runs.c``), which sorts each candidate's pairs by (score, gene) and
+runs the scalar two-pointer definition, :func:`_scan_maximal_windows`.
+This module serves the legacy per-candidate path, the pCluster baseline
+and the tests.  :func:`maximal_coherent_windows` computes the partition
+vectorized: one :func:`numpy.searchsorted` proposes every window end at
+once, then a fix-up pass re-checks the proposals against the *exact*
+predicate ``scores[end] - scores[start] <= epsilon`` — the cutoff
+``scores[start] + epsilon`` used by the binary search can disagree with
+the subtraction form in the last ulp, and the window boundaries must
+match the scalar definition bit for bit.  The scalar scan is also the
+reference the property tests compare against and the fallback for
+non-finite scores.
 """
 
 from __future__ import annotations
@@ -26,11 +29,7 @@ from typing import List, Tuple
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-__all__ = [
-    "maximal_coherent_windows",
-    "coherent_gene_windows",
-    "segmented_maximal_windows",
-]
+__all__ = ["maximal_coherent_windows", "coherent_gene_windows"]
 
 
 def _scan_maximal_windows(
@@ -88,70 +87,6 @@ def _vector_maximal_windows(
     return [
         (int(start), int(ends[start])) for start in maximal[long_enough]
     ]
-
-
-def segmented_maximal_windows(
-    scores: NDArray[np.float64],
-    seg_ids: NDArray[np.intp],
-    seg_ends: NDArray[np.intp],
-    epsilon: float,
-    min_length: int,
-) -> Tuple[NDArray[np.intp], NDArray[np.intp]]:
-    """Maximal windows over many concatenated sorted score runs at once.
-
-    The miner scores every candidate extension of a search node in one
-    flat array: ``scores`` holds the runs back to back (each run sorted
-    non-descending, all values finite), ``seg_ids`` labels each element
-    with its run (non-decreasing) and ``seg_ends`` gives each element the
-    flat index of its run's last element.  The result is the union of
-    :func:`maximal_coherent_windows` applied to every run separately —
-    two parallel arrays of flat ``(start, end)`` indices, ascending —
-    computed with a fixed number of whole-array operations instead of a
-    Python-level pass per run.
-
-    The binary-search proposal uses per-run offsets to keep the flat key
-    monotone; exactness does not depend on it — the same grow/shrink
-    fix-up loops as :func:`_vector_maximal_windows` re-check every
-    boundary against the exact predicate on the original scores.
-    """
-    n = scores.shape[0]
-    empty = np.empty(0, dtype=np.intp)
-    if n == 0:
-        return empty, empty
-    starts = np.arange(n, dtype=np.intp)
-    # Shift each run into its own disjoint key range so one global
-    # searchsorted respects run boundaries.  Rounding here only degrades
-    # the proposal; the fix-up loops below restore exactness.
-    low = float(scores.min())
-    span = float(scores.max()) - low + epsilon
-    offset = 2.0 * span + 1.0
-    shifted = (scores - low) + seg_ids * offset
-    ends = np.searchsorted(shifted, shifted + epsilon, side="right") - 1
-    np.minimum(ends, seg_ends, out=ends)
-    np.maximum(ends, starts, out=ends)
-    while True:
-        probe = np.minimum(ends + 1, seg_ends)
-        grow = (ends < seg_ends) & (scores[probe] - scores[starts] <= epsilon)
-        if not grow.any():
-            break
-        ends[grow] += 1
-    while True:
-        shrink = (ends > starts) & (scores[ends] - scores[starts] > epsilon)
-        if not shrink.any():
-            break
-        ends[shrink] -= 1
-    # Within one run ends are non-decreasing, so a window is maximal
-    # exactly where its end advances past the previous start's end; run
-    # breaks reset the comparison like previous_end = -1 does in the
-    # scalar scan.
-    prev = np.empty_like(ends)
-    prev[0] = -1
-    prev[1:] = ends[:-1]
-    if n > 1:
-        prev[1:][seg_ids[1:] != seg_ids[:-1]] = -1
-    keep = (ends > prev) & (ends - starts + 1 >= min_length)
-    win_starts = np.flatnonzero(keep).astype(np.intp, copy=False)
-    return win_starts, ends[win_starts]
 
 
 def maximal_coherent_windows(

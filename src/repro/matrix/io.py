@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import BinaryIO, List, Optional, Union
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -25,6 +25,8 @@ __all__ = [
     "save_expression_matrix",
     "parse_expression_text",
     "format_expression_text",
+    "write_matrix_npz",
+    "read_matrix_npz",
     "impute_missing",
 ]
 
@@ -132,6 +134,28 @@ def save_expression_matrix(
                 matrix, delimiter=delimiter, float_format=float_format
             )
         )
+
+
+def write_matrix_npz(matrix: ExpressionMatrix, handle: BinaryIO) -> None:
+    """Store a matrix exactly — values bit for bit, and its names — as
+    ``.npz``: the service's matrix store and fleet artifact format."""
+    np.savez(
+        handle,
+        values=matrix.values,
+        gene_names=np.asarray(matrix.gene_names),
+        condition_names=np.asarray(matrix.condition_names),
+    )
+
+
+def read_matrix_npz(source: Union[str, Path, BinaryIO]) -> ExpressionMatrix:
+    """The matrix :func:`write_matrix_npz` stored (never unpickles)."""
+    with np.load(source, allow_pickle=False) as data:
+        matrix = ExpressionMatrix(
+            data["values"],
+            [str(name) for name in data["gene_names"]],
+            [str(name) for name in data["condition_names"]],
+        )
+    return matrix
 
 
 def impute_missing(

@@ -22,14 +22,10 @@ from repro.service.executor import (
     merge_shard_results,
     mine_sharded,
     mine_sharded_outcome,
-)
-from repro.service.fleet import (
-    FleetNode,
-    FleetState,
-    ShardLease,
     shard_from_wire,
     shard_to_wire,
 )
+from repro.service.fleet import FleetNode, FleetState, ShardLease
 from repro.service.frontdoor import FrontDoorServer
 from repro.service.http import (
     ServiceBusy,

@@ -111,6 +111,8 @@ __all__ = [
     "ShardResult",
     "ShardedOutcome",
     "ShardFailure",
+    "shard_from_wire",
+    "shard_to_wire",
 ]
 
 #: One shard's output: (start condition, clusters in DFS order, stats).
@@ -118,6 +120,51 @@ __all__ = [
 #: :meth:`SearchStatistics.as_dict` plus the ``time_``-prefixed phase
 #: timer floats of :meth:`PhaseTimers.prefixed`.
 ShardResult = Tuple[int, List[RegCluster], Dict[str, float]]
+
+
+def shard_to_wire(shard: ShardResult) -> Dict[str, Any]:
+    """JSON form of one shard result: a fleet node's ``complete``
+    payload and a job's shard checkpoint (``JobStore.save_shard``)."""
+    start, clusters, stats = shard
+    return {
+        "start": int(start),
+        "clusters": [
+            {
+                "chain": list(cluster.chain),
+                "p_members": list(cluster.p_members),
+                "n_members": list(cluster.n_members),
+            }
+            for cluster in clusters
+        ],
+        "stats": {str(key): float(value) for key, value in stats.items()},
+    }
+
+
+def shard_from_wire(payload: Mapping[str, Any]) -> ShardResult:
+    """Inverse of :func:`shard_to_wire`; raises ``ValueError`` on junk.
+
+    Cluster members travel as integer gene/condition ids, so the
+    reconstructed :class:`~repro.core.cluster.RegCluster` objects are
+    *equal* to the ones mined — the bit-identical merge does not care
+    which process or checkpoint produced a shard.
+    """
+    try:
+        start = int(payload["start"])
+        clusters = [
+            RegCluster(
+                chain=tuple(int(c) for c in entry["chain"]),
+                p_members=tuple(int(g) for g in entry["p_members"]),
+                n_members=tuple(int(g) for g in entry["n_members"]),
+            )
+            for entry in payload["clusters"]
+        ]
+        stats = {
+            str(key): float(value)
+            for key, value in payload["stats"].items()
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise ValueError(f"malformed shard payload: {error}") from None
+    return start, clusters, stats
 
 
 class ShardFailure(RuntimeError):

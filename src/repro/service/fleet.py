@@ -84,13 +84,11 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
-from repro.core.cluster import RegCluster
 from repro.core.miner import ProgressCallback, RegClusterMiner
 from repro.core.params import MiningParameters
 from repro.core.rwave import RWaveIndex
 from repro.matrix.expression import ExpressionMatrix
+from repro.matrix.io import read_matrix_npz
 from repro.matrix.summary import matrix_digest
 from repro.obs.log import get_logger
 from repro.obs.trace import (
@@ -105,17 +103,13 @@ from repro.service.executor import (
     ShardedOutcome,
     _ShardDriver,
     mine_sharded_outcome,
+    shard_from_wire,
+    shard_to_wire,
 )
 from repro.service.jobs import parameters_from_dict, parameters_to_dict
 from repro.service.resilience import FaultInjected, FaultPlan, RetryPolicy
 
-__all__ = [
-    "FleetNode",
-    "FleetState",
-    "ShardLease",
-    "shard_to_wire",
-    "shard_from_wire",
-]
+__all__ = ["FleetNode", "FleetState", "ShardLease"]
 
 _LOG = get_logger("repro.service.fleet")
 
@@ -127,54 +121,6 @@ DEFAULT_LEASE_SHARDS = 2
 
 def _new_lease_id() -> str:
     return os.urandom(8).hex()
-
-
-# ----------------------------------------------------------------------
-# Wire form of one shard result (matches JobStore.save_shard's schema)
-# ----------------------------------------------------------------------
-
-def shard_to_wire(shard: ShardResult) -> Dict[str, Any]:
-    """JSON form of one shard result for the ``complete`` payload."""
-    start, clusters, stats = shard
-    return {
-        "start": int(start),
-        "clusters": [
-            {
-                "chain": list(cluster.chain),
-                "p_members": list(cluster.p_members),
-                "n_members": list(cluster.n_members),
-            }
-            for cluster in clusters
-        ],
-        "stats": {str(key): float(value) for key, value in stats.items()},
-    }
-
-
-def shard_from_wire(payload: Mapping[str, Any]) -> ShardResult:
-    """Inverse of :func:`shard_to_wire`; raises ``ValueError`` on junk.
-
-    Cluster members travel as integer gene/condition ids, so the
-    reconstructed :class:`~repro.core.cluster.RegCluster` objects are
-    *equal* to the ones the node mined — the bit-identical merge does
-    not care which process produced a shard.
-    """
-    try:
-        start = int(payload["start"])
-        clusters = [
-            RegCluster(
-                chain=tuple(int(c) for c in entry["chain"]),
-                p_members=tuple(int(g) for g in entry["p_members"]),
-                n_members=tuple(int(g) for g in entry.get("n_members", ())),
-            )
-            for entry in payload["clusters"]
-        ]
-        stats = {
-            str(key): float(value)
-            for key, value in payload["stats"].items()
-        }
-    except (KeyError, TypeError, ValueError) as error:
-        raise ValueError(f"malformed shard payload: {error}") from None
-    return start, clusters, stats
 
 
 # ----------------------------------------------------------------------
@@ -911,13 +857,7 @@ class FleetNode:
         matrix = self._matrices.get(digest)
         if matrix is not None:
             return matrix
-        raw = self.client.fetch_matrix(digest)
-        with np.load(io.BytesIO(raw), allow_pickle=False) as data:
-            matrix = ExpressionMatrix(
-                data["values"],
-                [str(name) for name in data["gene_names"]],
-                [str(name) for name in data["condition_names"]],
-            )
+        matrix = read_matrix_npz(io.BytesIO(self.client.fetch_matrix(digest)))
         if matrix_digest(matrix) != digest:
             raise ValueError(
                 f"fetched matrix does not hash to {digest} — refusing to "

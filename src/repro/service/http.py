@@ -9,8 +9,7 @@ Endpoints
 
     * ``{"values": [[...], ...], "gene_names": [...],
       "condition_names": [...]}`` (names optional) — inline data;
-    * ``{"text": "..."}`` — a tab-delimited expression table;
-    * ``{"path": "..."}`` — a server-side file path.
+    * ``{"text": "..."}`` — a tab-delimited expression table.
 
     The body may also carry ``"priority"`` (``high`` / ``normal`` /
     ``low`` — weighted-fair executor share, ``docs/service.md``), and

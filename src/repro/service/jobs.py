@@ -45,10 +45,10 @@ import threading
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
-from repro.core.cluster import RegCluster
 from repro.core.params import MiningParameters
+from repro.service.executor import ShardResult, shard_from_wire, shard_to_wire
 
 __all__ = [
     "JobState",
@@ -57,17 +57,10 @@ __all__ = [
     "RESULT_STATES",
     "JobRecord",
     "JobStore",
-    "StoredShard",
     "compute_job_id",
     "parameters_to_dict",
     "parameters_from_dict",
 ]
-
-#: A checkpointed shard: (start condition, clusters, stats) — the same
-#: shape as :data:`repro.service.executor.ShardResult` (kept structural
-#: to avoid a layering cycle).
-StoredShard = Tuple[int, List[RegCluster], Dict[str, float]]
-
 
 class JobState(str, Enum):
     """Lifecycle states of a mining job."""
@@ -327,61 +320,35 @@ class JobStore:
             raise KeyError(f"malformed job id {job_id!r}")
         return self.root / f"{job_id}.shards"
 
-    def save_shard(self, job_id: str, shard: StoredShard) -> None:
+    def save_shard(self, job_id: str, shard: ShardResult) -> None:
         """Checkpoint one completed shard of a running job."""
-        start, clusters, stats = shard
         directory = self._shards_dir(job_id)
-        payload = {
-            "start": int(start),
-            "clusters": [
-                {
-                    "chain": list(cluster.chain),
-                    "p_members": list(cluster.p_members),
-                    "n_members": list(cluster.n_members),
-                }
-                for cluster in clusters
-            ],
-            "stats": {key: value for key, value in stats.items()},
-        }
+        payload = json.dumps(shard_to_wire(shard), sort_keys=True) + "\n"
         with self._lock:
             directory.mkdir(parents=True, exist_ok=True)
-            path = directory / f"shard-{int(start):04d}.json"
+            path = directory / f"shard-{int(shard[0]):04d}.json"
             tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(
-                json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            tmp.write_text(payload, encoding="utf-8")
             os.replace(tmp, path)
 
-    def load_shards(self, job_id: str) -> Dict[int, StoredShard]:
+    def load_shards(self, job_id: str) -> Dict[int, ShardResult]:
         """Every readable shard checkpoint of a job, keyed by start.
 
         Unreadable or malformed checkpoint files are skipped — resuming
         re-mines those shards instead of trusting torn writes.
         """
         directory = self._shards_dir(job_id)
-        shards: Dict[int, StoredShard] = {}
+        shards: Dict[int, ShardResult] = {}
         with self._lock:
             paths = sorted(directory.glob("shard-*.json"))
             for path in paths:
                 try:
-                    payload = json.loads(path.read_text(encoding="utf-8"))
-                    start = int(payload["start"])
-                    clusters = [
-                        RegCluster(
-                            chain=tuple(entry["chain"]),
-                            p_members=tuple(entry["p_members"]),
-                            n_members=tuple(entry["n_members"]),
-                        )
-                        for entry in payload["clusters"]
-                    ]
-                    stats = {
-                        str(key): float(value)
-                        for key, value in payload["stats"].items()
-                    }
-                except (json.JSONDecodeError, KeyError, TypeError,
-                        ValueError, OSError):
+                    shard = shard_from_wire(
+                        json.loads(path.read_text(encoding="utf-8"))
+                    )
+                except (OSError, ValueError):
                     continue
-                shards[start] = (start, clusters, stats)
+                shards[shard[0]] = shard
         return shards
 
     def clear_shards(self, job_id: str) -> None:

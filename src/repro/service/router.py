@@ -46,7 +46,7 @@ from typing import Any, Dict, Optional
 
 from repro.incremental.delta import delta_from_dict
 from repro.matrix.expression import ExpressionMatrix
-from repro.matrix.io import load_expression_matrix, parse_expression_text
+from repro.matrix.io import parse_expression_text
 from repro.obs.log import get_logger
 from repro.service.jobs import ACTIVE_STATES, JobState, parameters_from_dict
 from repro.service.resilience import FaultKind, FaultPlan
@@ -155,21 +155,17 @@ def matrix_from_payload(payload: Any) -> ExpressionMatrix:
     """Build a matrix from the ``matrix`` member of a POST body."""
     if not isinstance(payload, dict):
         raise RequestError(400, "matrix must be a JSON object")
-    kinds = [k for k in ("values", "text", "path") if k in payload]
-    if len(kinds) != 1:
+    if ("values" in payload) == ("text" in payload):
         raise RequestError(
-            400,
-            "matrix must supply exactly one of 'values', 'text', 'path'",
-        )
-    if "values" in payload:
-        return ExpressionMatrix(
-            payload["values"],
-            payload.get("gene_names"),
-            payload.get("condition_names"),
+            400, "matrix must supply exactly one of 'values', 'text'"
         )
     if "text" in payload:
         return parse_expression_text(payload["text"])
-    return load_expression_matrix(payload["path"])
+    return ExpressionMatrix(
+        payload["values"],
+        payload.get("gene_names"),
+        payload.get("condition_names"),
+    )
 
 
 class ServiceRouter:

@@ -55,8 +55,6 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
-import numpy as np
-
 from repro.core.cluster import RegCluster
 from repro.core.miner import MiningCancelled, MiningTimeout
 from repro.core.params import MiningParameters
@@ -77,6 +75,7 @@ from repro.incremental.sweep import (
     expand_grid,
 )
 from repro.matrix.expression import ExpressionMatrix
+from repro.matrix.io import read_matrix_npz, write_matrix_npz
 from repro.matrix.summary import matrix_digest
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, render_family
@@ -91,7 +90,6 @@ from repro.service.jobs import (
     JobRecord,
     JobState,
     JobStore,
-    StoredShard,
     compute_job_id,
     parameters_from_dict,
     parameters_to_dict,
@@ -518,12 +516,7 @@ class MiningService:
         tmp = path.with_suffix(f".npz.{threading.get_ident()}.tmp")
         try:
             with open(tmp, "wb") as handle:
-                np.savez(
-                    handle,
-                    values=matrix.values,
-                    gene_names=np.asarray(matrix.gene_names),
-                    condition_names=np.asarray(matrix.condition_names),
-                )
+                write_matrix_npz(matrix, handle)
             tmp.replace(path)
         finally:
             tmp.unlink(missing_ok=True)
@@ -532,13 +525,7 @@ class MiningService:
         path = self._matrix_path(digest)
         if not path.exists():
             raise KeyError(f"no stored matrix with digest {digest}")
-        with np.load(path, allow_pickle=False) as data:
-            matrix = ExpressionMatrix(
-                data["values"],
-                [str(name) for name in data["gene_names"]],
-                [str(name) for name in data["condition_names"]],
-            )
-        return matrix
+        return read_matrix_npz(path)
 
     # ------------------------------------------------------------------
     # Fleet artifact exchange (content-addressed; docs/distributed.md)
@@ -1100,7 +1087,7 @@ class MiningService:
         child_matrix: ExpressionMatrix,
         params: MiningParameters,
         clean_shards: "tuple[int, ...]",
-    ) -> "tuple[str, Dict[int, StoredShard]]":
+    ) -> "tuple[str, Dict[int, ShardResult]]":
         """Clean shards recoverable from the parent's job, per source.
 
         A ``done`` parent serves from its cached result payload (the
@@ -1113,7 +1100,7 @@ class MiningService:
         of the reuse set: re-mining is always sound.
         """
         parent_job_id = compute_job_id(parent_digest, params)
-        reusable: Dict[int, StoredShard] = {}
+        reusable: Dict[int, ShardResult] = {}
         try:
             parent_record = self.jobs.get(parent_job_id)
         except KeyError:

@@ -1,4 +1,5 @@
-"""Unit and property tests for the coherence sliding window."""
+"""Unit and property tests for the coherence sliding window, in numpy
+and in the native run kernel."""
 
 from __future__ import annotations
 
@@ -7,11 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.window import (
-    coherent_gene_windows,
-    maximal_coherent_windows,
-    segmented_maximal_windows,
-)
+from repro.core.window import coherent_gene_windows, maximal_coherent_windows
+from tests.core.test_runs_kernel import kernel_windows, one_pair_pass
 
 
 class TestMaximalWindows:
@@ -116,59 +114,55 @@ class TestGeneWindows:
 
 
 class TestSegmentedWindows:
-    """segmented_maximal_windows == per-run maximal_coherent_windows."""
+    """One run-kernel emit over many candidates: its windows never cross
+    candidate boundaries and equal per-candidate
+    maximal_coherent_windows."""
 
     @staticmethod
-    def _flatten(runs):
-        """Concatenate sorted runs into (scores, seg_ids, seg_ends)."""
-        scores = np.concatenate(runs) if runs else np.empty(0)
-        seg_ids = np.concatenate(
-            [np.full(len(run), i, dtype=np.intp) for i, run in enumerate(runs)]
-        ) if runs else np.empty(0, dtype=np.intp)
-        ends, offset = [], 0
-        for run in runs:
-            offset += len(run)
-            ends.append(np.full(len(run), offset - 1, dtype=np.intp))
-        seg_ends = np.concatenate(ends) if runs else np.empty(0, dtype=np.intp)
-        return scores.astype(np.float64), seg_ids, seg_ends
-
-    @staticmethod
-    def _reference(runs, epsilon, min_length):
-        expected, offset = [], 0
-        for run in runs:
+    def _check(runs, epsilon, min_length):
+        """Candidate ``3 + r`` gets run ``r``'s scores, one gene each:
+        Eq. 7 with numerator ``score - 0`` over baseline ``1 - 0``
+        gives every score back exactly."""
+        runs = [np.sort(np.asarray(run, dtype=np.float64)) for run in runs]
+        n_genes = sum(run.shape[0] for run in runs)
+        n_conditions = 3 + max(len(runs), 1)
+        values = np.zeros((max(n_genes, 1), n_conditions))
+        values[:, 1] = 1.0
+        candidates, expected, gene = [], [], 0
+        for position, run in enumerate(runs):
+            candidate = 3 + position
             for start, end in maximal_coherent_windows(
-                np.asarray(run, dtype=np.float64), epsilon, min_length
+                run, epsilon, min_length
             ):
-                expected.append((start + offset, end + offset))
-            offset += len(run)
-        return expected
-
-    def _check(self, runs, epsilon, min_length):
-        scores, seg_ids, seg_ends = self._flatten(
-            [np.sort(np.asarray(run, dtype=np.float64)) for run in runs]
+                expected.append(
+                    (candidate, list(range(gene + start, gene + end + 1)))
+                )
+            for score in run:
+                values[gene, candidate] = score
+                candidates.append(candidate)
+                gene += 1
+        native = one_pair_pass(candidates or [3], values)
+        native.walk(
+            np.arange(n_genes, dtype=np.intp), np.empty(0, dtype=np.intp),
+            2, 1,
         )
-        starts, ends = segmented_maximal_windows(
-            scores, seg_ids, seg_ends, epsilon, min_length
-        )
-        got = list(zip(starts.tolist(), ends.tolist()))
-        assert got == self._reference(
-            [np.sort(np.asarray(run, dtype=np.float64)) for run in runs],
-            epsilon,
-            min_length,
-        )
+        viable = np.ones(n_conditions, dtype=bool)
+        viable[:3] = False
+        n_windows = native.emit(viable, (0, 1, 2), epsilon, min_length)
+        got = [
+            (condition, genes)
+            for condition, genes, __ in kernel_windows(native, n_windows)
+        ]
+        assert got == expected
 
     def test_empty(self):
-        starts, ends = segmented_maximal_windows(
-            np.empty(0), np.empty(0, dtype=np.intp),
-            np.empty(0, dtype=np.intp), 0.5, 1
-        )
-        assert starts.size == 0 and ends.size == 0
+        self._check([], 0.5, 1)
 
     def test_single_run_matches_unsegmented(self):
         self._check([[0.0, 0.1, 0.2, 5.0, 5.05]], 0.2, 1)
 
     def test_windows_never_cross_run_boundaries(self):
-        # Identical scores in adjacent runs must stay separate windows.
+        # Identical scores of adjacent candidates stay separate windows.
         self._check([[1.0, 1.1], [1.0, 1.1]], 0.5, 1)
 
     def test_maximality_resets_at_run_starts(self):

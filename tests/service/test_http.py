@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -175,13 +176,44 @@ class TestErrors:
             client._request(
                 "POST", "/jobs",
                 {
-                    "matrix": {"text": "x", "path": "y"},
+                    "matrix": {"text": "x", "values": [[1.0]]},
                     "parameters": {"min_genes": 3, "min_conditions": 5,
                                    "gamma": 0.15, "epsilon": 0.1},
                 },
             )
         assert info.value.status == 400
-        assert "exactly one" in info.value.message
+        assert "exactly one of 'values', 'text'" in info.value.message
+
+    def test_a_server_side_path_is_never_opened(self, tmp_path, monkeypatch):
+        # A client must not make the daemon read a file it names, nor
+        # learn whether the file exists.
+        from repro.matrix import io
+        from repro.service import router as routing
+
+        opened = []
+        monkeypatch.setattr(io, "load_expression_matrix", opened.append)
+        monkeypatch.setattr(
+            routing, "load_expression_matrix", opened.append, raising=False
+        )
+        secret = tmp_path / "secret.tsv"
+        secret.write_text("gene\tc1\ng1\tsecret-token-123\n")
+        handler = routing.ServiceRouter(MiningService(tmp_path / "store"))
+        for path in (secret, tmp_path / "missing.tsv"):
+            body = {
+                "matrix": {"path": str(path)},
+                "parameters": {"min_genes": 3, "min_conditions": 5,
+                               "gamma": 0.15, "epsilon": 0.1},
+            }
+            response = handler.handle(
+                routing.Request(
+                    "POST", "/jobs", body=json.dumps(body).encode()
+                )
+            )
+            assert response.status == 400
+            assert json.loads(response.body) == {
+                "error": "matrix must supply exactly one of 'values', 'text'"
+            }
+        assert opened == []
 
 
 class TestClientRetry:
