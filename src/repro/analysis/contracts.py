@@ -48,6 +48,7 @@ __all__ = [
     "ContractViolation",
     "enable",
     "disable",
+    "set_enabled",
     "activated",
     "contracts_enabled",
     "check_rwave_model",
@@ -65,16 +66,26 @@ class ContractViolation(AssertionError):
     """An RWave invariant does not hold — the index is corrupt."""
 
 
+def set_enabled(flag: bool) -> None:
+    """Turn contract checking on or off for this process.
+
+    The one writer of the flag.  A pool worker gets the driver's flag
+    through its initializer (:func:`repro.service.executor._init_worker`),
+    so a programmatic :func:`enable` reaches the workers of pools made
+    after it, under ``spawn`` as under ``fork``.
+    """
+    global _enabled
+    _enabled = flag
+
+
 def enable() -> None:
     """Turn contract checking on for this process."""
-    global _enabled
-    _enabled = True
+    set_enabled(True)
 
 
 def disable() -> None:
     """Turn contract checking off."""
-    global _enabled
-    _enabled = False
+    set_enabled(False)
 
 
 def contracts_enabled() -> bool:
@@ -85,13 +96,12 @@ def contracts_enabled() -> bool:
 @contextmanager
 def activated() -> Iterator[None]:
     """Context manager enabling contracts for a scoped block (tests)."""
-    global _enabled
     previous = _enabled
-    _enabled = True
+    set_enabled(True)
     try:
         yield
     finally:
-        _enabled = previous
+        set_enabled(previous)
 
 
 def _require(condition: bool, message: str) -> None:

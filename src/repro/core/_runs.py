@@ -1,18 +1,19 @@
-"""Build, load and call the miner's native run kernel (``_runs.c``).
+"""Build, load and call the compiled half of the miner (``_runs.c``).
 
-The C source ships as package data.  The first fast-path miner of a
-process compiles it with ``cc`` into the package's ``__pycache__``,
-under a name hashing the source, the flags and the platform, then binds
-it with :mod:`ctypes`; later processes find the library there and only
-load it.  Only when that directory cannot be created or written does
-the cache move to a per-user temp directory, and only if this user owns
-it and no one else may enter it (a shared temp dir lets anyone plant a
-library under the predictable name).  A build is published with
-``os.replace``, so concurrent builders (pool workers, fleet nodes) are
-safe.  Without a working compiler or a safe cache the loader warns once
-per process and :func:`run_kernel` returns ``None``: the miner then
-takes its legacy path.  ``-ffp-contract=off`` (and no fast-math) keeps
-every float operation the IEEE one numpy performs.
+The C source ships as package data.  The first process that asks for it
+compiles it with ``cc`` into the package's ``__pycache__``, under a name
+hashing the source, the flags and the platform, then binds it with
+:mod:`ctypes`; later processes find the library there and only load it.
+Only when that directory cannot be created or written does the cache
+move to a per-user temp directory, and only if this user owns it and no
+one else may enter it (a shared temp dir lets anyone plant a library
+under the predictable name).  A build is published with ``os.replace``,
+so concurrent builders (pool workers, fleet nodes) are safe.  Without a
+working compiler or a safe cache the loader warns once per process and
+:func:`run_kernel` returns ``None``: the miner then takes its legacy
+path and :func:`repro.core.rwave.chain_tables` its numpy body.
+``-ffp-contract=off`` (and no fast-math) keeps every float operation the
+IEEE one numpy performs.
 """
 
 from __future__ import annotations
@@ -27,15 +28,36 @@ import sys
 import tempfile
 import threading
 import warnings
+import weakref
 from pathlib import Path
-from typing import Any, Dict, NamedTuple, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.core.rwave import RWaveIndex
+if TYPE_CHECKING:
+    from repro.core.rwave import RWaveIndex
 
-__all__ = ["RunKernel", "RunPass", "run_kernel"]
+__all__ = [
+    "CONTINUE",
+    "COUNTERS",
+    "EVENTS",
+    "PHASES",
+    "REDUNDANT",
+    "STOP",
+    "RunKernel",
+    "RunPass",
+    "native_tables",
+    "run_kernel",
+]
 
 _SOURCE = Path(__file__).with_name("_runs.c")
 _COMPILER: Tuple[str, ...] = ("cc",)
@@ -45,18 +67,38 @@ _WIDTHS = {1: "i8", 2: "i16", 4: "i32"}
 
 _P = ctypes.c_void_p
 _N = ctypes.c_ssize_t
-_WALK_ARGS = (_P, _N, _N, _P, _P, _N, _N)
-_EMIT_ARGS = (
-    _P, _N, _N, _N, ctypes.c_int, _N, _N, _N, ctypes.c_double, _N, _N,
+_I = ctypes.c_int
+#: ``hook_t``: the search's one way into Python.
+_HOOK = ctypes.CFUNCTYPE(_I, _I)
+_SIGNATURES: Dict[str, Tuple[Any, Tuple[Any, ...]]] = {
+    "walk": (_N, (_P, _N, _N, _N, _N)),
+    "emit": (_N, (_P, _N, _N, _I, _N, _N, _N, ctypes.c_double, _N, _N)),
+    "search": (_I, (_P, _P, _N, _N, _N, _N)),
+    "tables": (_I, (_P, _P, _N, _N, _P, _P, _P, _P, _P, _P)),
+}
+
+#: What the search calls the hook for, by ``event`` code: ``"node"``
+#: (each node, when an observer is set), ``"tick"`` (every 4096 nodes
+#: otherwise), ``"emit"`` (an emit-eligible node) and the Figure 6 trace
+#: events of :class:`repro.core.trace.SearchTrace`.
+EVENTS = (
+    "node", "tick", "emit", "expanded", "pruned_min_genes",
+    "pruned_p_majority", "pruned_reachability", "pruned_coherence",
 )
+#: The hook's answers: go on; end this node (a redundant emit); stop.
+CONTINUE, REDUNDANT, STOP = 0, 1, 2
 
 
 class RunKernel(NamedTuple):
-    """The two entry points for one table entry width (in bytes)."""
+    """The entry points for one table entry width (in bytes), and the
+    width-free ``release``."""
 
     width: int
     walk: Any
     emit: Any
+    search: Any
+    tables: Any
+    release: Any
 
 
 class _Loader:
@@ -157,14 +199,18 @@ def _library_path() -> Path:
 
 
 def _bind(library: ctypes.CDLL) -> Dict[int, RunKernel]:
+    release = library.runs_release
+    release.argtypes = (_P,)
+    release.restype = None
     kernels: Dict[int, RunKernel] = {}
     for width, suffix in _WIDTHS.items():
-        walk = getattr(library, f"runs_walk_{suffix}")
-        emit = getattr(library, f"runs_emit_{suffix}")
-        for function, argtypes in ((walk, _WALK_ARGS), (emit, _EMIT_ARGS)):
+        functions: Dict[str, Any] = {}
+        for name, (restype, argtypes) in _SIGNATURES.items():
+            function = getattr(library, f"runs_{name}_{suffix}")
             function.argtypes = argtypes
-            function.restype = _N
-        kernels[width] = RunKernel(width, walk, emit)
+            function.restype = restype
+            functions[name] = function
+        kernels[width] = RunKernel(width, release=release, **functions)
     return kernels
 
 
@@ -182,7 +228,8 @@ def run_kernel(table_dtype: np.dtype) -> Optional[RunKernel]:
                 detail = getattr(error, "stderr", None) or str(error)
                 warnings.warn(
                     "the native run kernel could not be built, so the "
-                    f"miner takes its legacy path: {detail.strip()}",
+                    "miner takes its legacy path and the RWave tables "
+                    f"are built with numpy: {detail.strip()}",
                     RuntimeWarning,
                     stacklevel=3,
                 )
@@ -190,45 +237,146 @@ def run_kernel(table_dtype: np.dtype) -> Optional[RunKernel]:
     return None if kernels is None else kernels[table_dtype.itemsize]
 
 
+def native_tables(
+    values: NDArray[np.float64],
+    thresholds: NDArray[np.float64],
+    dtype: np.dtype,
+) -> Optional[Tuple[NDArray[Any], ...]]:
+    """The six RWave^gamma tables of every row, built by the kernel.
+
+    ``(order, position, successor_bound, predecessor_bound, max_up,
+    max_down)`` in ``dtype``, as :func:`repro.core.rwave.chain_tables`
+    defines them; ``None`` without a compiler.
+    """
+    kernel = run_kernel(dtype)
+    if kernel is None:
+        return None
+    data = np.ascontiguousarray(values, dtype=np.float64)
+    per_gene = np.ascontiguousarray(thresholds, dtype=np.float64)
+    n_genes, n_conditions = data.shape
+    if per_gene.shape != (n_genes,):
+        raise ValueError("one threshold per row is needed")
+    tables = tuple(
+        np.empty((n_genes, n_conditions), dtype=dtype) for __ in range(6)
+    )
+    if kernel.tables(
+        data.ctypes.data, per_gene.ctypes.data, n_genes, n_conditions,
+        *(table.ctypes.data for table in tables),
+    ):
+        raise MemoryError("no memory for the RWave table build")
+    return tables
+
+
 class _Pass(ctypes.Structure):
     """The addresses of a :class:`RunPass`'s arrays: ``pass_t`` in
-    ``_runs.c``, field for field."""
+    ``_runs.c``, field for field.  The kernel grows (and sets) the last
+    seven."""
 
     _fields_ = [
         (name, ctypes.c_void_p)
         for name in (
-            "order", "successor_bound", "predecessor_bound", "values",
-            "members", "first", "stop", "support", "viable",
-            "conds", "owners", "scores", "degenerate", "hist", "offsets",
-            "slots", "genes", "in_p", "windows",
+            "order", "successor_bound", "predecessor_bound", "max_up",
+            "max_down", "values", "members", "first", "stop", "support",
+            "viable", "degenerate", "hist", "offsets", "chain", "heap",
+            "conds", "owners", "scores", "slots", "genes", "in_p",
+            "windows",
         )
     ]
+
+
+class _Heap(ctypes.Structure):
+    """``heap_t``: the sizes, and what the kernel allocates for a pass."""
+
+    _fields_ = [
+        ("n_genes", _N), ("n_conditions", _N), ("capacity", _N),
+        ("reach", _P), ("frames", _P), ("n_frames", _N),
+        ("frames_capacity", _N), ("arena", _P), ("arena_top", _N),
+        ("arena_capacity", _N),
+    ]
+
+
+#: The counters a search accumulates, as :class:`SearchStatistics`
+#: names them, and its phase seconds, as :class:`PhaseTimers` does.
+COUNTERS = (
+    "nodes_expanded", "candidates_examined", "pruned_min_genes",
+    "pruned_p_majority", "coherence_rejections", "max_depth",
+    "degenerate_genes_dropped",
+)
+PHASES = ("candidates", "windows", "emit")
+
+
+class _Search(ctypes.Structure):
+    """``search_t``: one mine()'s settings and hook, the node a hook call
+    is about, and the counters and phase seconds of the mine()."""
+
+    _fields_ = [
+        *((name, _N) for name in (
+            "min_genes", "min_conditions", "min_support", "cap",
+        )),
+        ("epsilon", ctypes.c_double),
+        *((name, _N) for name in (
+            "prune_min_genes", "prune_p_majority", "reachability", "probe",
+            "trace",
+        )),
+        ("hook", _HOOK),
+        ("depth", _N), ("n_pm", _N), ("n_n", _N),
+        *((name, _N) for name in COUNTERS),
+        *((name, ctypes.c_double) for name in PHASES),
+    ]
+
+
+#: The buffers the kernel grows, as :meth:`RunPass._grown` views them:
+#: dtype and entries per pair.
+_GROWN = {
+    "conds": (np.dtype(np.intp), 1),
+    "owners": (np.dtype(np.intp), 1),
+    "scores": (np.dtype(np.float64), 1),
+    "genes": (np.dtype(np.intp), 1),
+    "in_p": (np.dtype(np.bool_), 1),
+    "windows": (np.dtype(np.intp), 3),
+}
+
+
+def _release(kernel: RunKernel, owner: _Pass, heap: _Heap) -> None:
+    """Free what the kernel allocated for a collected :class:`RunPass`
+    (``heap`` is held until then: the pass points into it)."""
+    kernel.release(ctypes.addressof(owner))
 
 
 class RunPass:
     """One miner's binding of the kernel: every array it reads or writes.
 
-    The index's tables and the values are kept with the scratch and
-    output buffers; each address is handed to the kernel once, in a
-    :class:`_Pass`.  The pair and window buffers grow on demand.
-    :meth:`walk` and :meth:`emit` copy their inputs into the owned
-    buffers (a slice assignment refuses one that does not fit), so the
-    kernel never reads an array it was not built for.  Every miner owns
-    its own pass, so jobs on concurrent threads (the kernel runs without
-    the GIL) never share a buffer.  :attr:`windows`, :attr:`genes` and
-    :attr:`in_p` are overwritten by the next :meth:`emit`.
+    The index's tables and the values are kept with the fixed scratch
+    arrays; each address is handed to the kernel once, in a
+    :class:`_Pass`.  The pair and window buffers and the search's node
+    stack grow inside the kernel, which frees them when the pass is
+    collected.  :meth:`search` runs the Fig. 5 search from one start
+    condition; :meth:`walk` and :meth:`emit` run one node's two steps
+    alone (the seams the kernel tests drive).  They copy their inputs
+    into the owned buffers (a slice assignment refuses one that does
+    not fit), so the kernel never reads an array it was not built for.
+    Every miner owns its own pass, so jobs on concurrent threads (the
+    kernel runs without the GIL) never share a buffer.
     """
 
-    def __init__(self, kernel: RunKernel, index: RWaveIndex, cap: int) -> None:
+    def __init__(
+        self, kernel: RunKernel, index: "RWaveIndex", cap: int
+    ) -> None:
         tables = [
             np.ascontiguousarray(table)
             for table in (
                 index.order, index.successor_bound, index.predecessor_bound
             )
         ]
+        # pruning (2)'s tables, read in the run tables' width
+        reach = [
+            np.ascontiguousarray(table, dtype=tables[0].dtype)
+            for table in (index.max_up, index.max_down)
+        ]
         values = np.ascontiguousarray(index.matrix.values, dtype=np.float64)
         if (
-            len({(table.shape, table.dtype) for table in tables}) != 1
+            len({(table.shape, table.dtype) for table in tables + reach})
+            != 1
             or tables[0].shape != values.shape
             or tables[0].dtype.itemsize != kernel.width
         ):
@@ -237,17 +385,21 @@ class RunPass:
                 "dtype of the kernel's width"
             )
         self._kernel = kernel
-        self._index = index
         self._cap = cap
         n_genes, conditions = values.shape
-        self._n_conditions = conditions
-        self._pass = _Pass()
+        self._heap = _Heap(n_genes=n_genes, n_conditions=conditions)
+        self._pass = _Pass(heap=ctypes.addressof(self._heap))
         self._address = ctypes.addressof(self._pass)
+        #: the settings, hook and counters of the current mine()
+        self.settings = _Search()
+        self._hook: Optional[Any] = None
         #: each array handed to the kernel, kept alive by name
         self._arrays: Dict[str, NDArray[Any]] = {}
-        #: p-members then n-members of the last :meth:`walk`; a depth-1
-        #: node may list a gene as both
+        #: p-members then n-members of the node being expanded; a
+        #: depth-1 node may list a gene as both
         self.members = np.zeros(2 * n_genes, dtype=np.intp)
+        #: the chain of the node a hook call reports on
+        self.chain = np.zeros(conditions + 1, dtype=np.intp)
         #: p-member support of every condition (:meth:`walk`)
         self.support = np.zeros(conditions, dtype=np.intp)
         #: dropped non-finite scores per condition (:meth:`emit`)
@@ -255,68 +407,64 @@ class RunPass:
         self._viable = np.zeros(conditions, dtype=np.bool_)
         self._bind(
             order=tables[0], successor_bound=tables[1],
-            predecessor_bound=tables[2], values=values,
-            members=self.members,
+            predecessor_bound=tables[2], max_up=reach[0], max_down=reach[1],
+            values=values, members=self.members,
             first=np.zeros(2 * n_genes, dtype=np.intp),
             stop=np.zeros(2 * n_genes, dtype=np.intp),
             support=self.support, viable=self._viable,
             degenerate=self.degenerate,
             hist=np.zeros(conditions * (cap + 1), dtype=np.intp),
             offsets=np.zeros(conditions + 1, dtype=np.intp),
+            chain=self.chain,
         )
-        #: pruning (2) by remaining chain length: the ``(up_end,
-        #: down_start)`` rows and their addresses
-        self._reach: Dict[int, Tuple[NDArray[np.intp], int, int]] = {}
         #: members and p-members of the last :meth:`walk`
         self._last_walk = (0, 0)
-        self._grow(1024)
+        weakref.finalize(self, _release, kernel, self._pass, self._heap)
 
     def _bind(self, **arrays: NDArray[Any]) -> None:
         for name, array in arrays.items():
             self._arrays[name] = array
             setattr(self._pass, name, array.ctypes.data)
 
-    def _grow(self, capacity: int) -> None:
-        self._capacity = capacity
-        #: ``(condition, first, last)`` of every window of the last
-        #: :meth:`emit`, indexing :attr:`genes` and :attr:`in_p`
-        self.windows = np.empty((capacity, 3), dtype=np.intp)
-        #: the last emit's pairs grouped by condition, sorted by (score,
-        #: gene) from depth 2: their genes and p-member flags
-        self.genes = np.empty(capacity, dtype=np.intp)
-        self.in_p = np.empty(capacity, dtype=np.bool_)
-        self._bind(
-            conds=np.empty(capacity, dtype=np.intp),
-            owners=np.empty(capacity, dtype=np.intp),
-            scores=np.empty(capacity, dtype=np.float64),
-            # three float64 hold one slot_t
-            slots=np.empty((capacity, 3), dtype=np.float64),
-            genes=self.genes, in_p=self.in_p, windows=self.windows,
+    def _grown(self, name: str) -> NDArray[Any]:
+        """A view of a buffer the kernel grows, valid until the next
+        :meth:`walk` or :meth:`search` (either may move it)."""
+        dtype, width = _GROWN[name]
+        capacity = self._heap.capacity
+        address = getattr(self._pass, name)
+        if not capacity or not address:
+            return np.empty((0, width) if width > 1 else 0, dtype=dtype)
+        size = capacity * width * dtype.itemsize
+        view = np.frombuffer(
+            (ctypes.c_char * size).from_address(address), dtype=dtype
         )
+        return view.reshape(capacity, width) if width > 1 else view
 
-    def _reach_limits(self, need: int) -> Tuple[int, int]:
-        """Pruning (2) as per-gene limits on sorted positions.
+    @property
+    def windows(self) -> NDArray[np.intp]:
+        """``(condition, first, last)`` of every window of the last
+        :meth:`emit`, indexing :attr:`genes` and :attr:`in_p`."""
+        return self._grown("windows")
 
-        ``max_up`` never increases along a gene's sorted conditions: a
-        chain that climbs from one value can climb from any lower value
-        instead (float subtraction is monotone).  So ``max_up >= need``
-        holds on a prefix ``[0, up_end[g])`` of the sorted positions,
-        and likewise ``max_down >= need`` on a suffix ``[down_start[g],
-        C)``.  ``need <= 1`` keeps every position.
-        """
-        need = max(need, 1)
-        limits = self._reach.get(need)
-        if limits is None:
-            index = self._index
-            reach = np.empty((2, index.max_up.shape[0]), dtype=np.intp)
-            reach[0] = np.count_nonzero(index.max_up >= need, axis=1)
-            reach[1] = self._n_conditions - np.count_nonzero(
-                index.max_down >= need, axis=1
-            )
-            address = reach.ctypes.data
-            limits = (reach, address, address + reach.strides[0])
-            self._reach[need] = limits
-        return limits[1:]
+    @property
+    def genes(self) -> NDArray[np.intp]:
+        """The last emit's pairs grouped by condition, sorted by (score,
+        gene) from depth 2: their genes."""
+        return self._grown("genes")
+
+    @property
+    def in_p(self) -> NDArray[np.bool_]:
+        """The p-member flags of :attr:`genes`."""
+        return self._grown("in_p")
+
+    def _load(
+        self, p_members: NDArray[np.intp], n_members: NDArray[np.intp]
+    ) -> Tuple[int, int]:
+        n_pm = p_members.shape[0]
+        count = n_pm + n_members.shape[0]
+        self.members[:n_pm] = p_members
+        self.members[n_pm:count] = n_members
+        return count, n_pm
 
     def walk(
         self,
@@ -332,18 +480,10 @@ class RunPass:
         candidate included: a run keeps the positions whose longest
         chain reaches it.
         """
-        n_pm = p_members.shape[0]
-        count = n_pm + n_members.shape[0]
-        self.members[:n_pm] = p_members
-        self.members[n_pm:count] = n_members
-        up_end, down_start = self._reach_limits(need)
-        total = self._kernel.walk(
-            self._address, self._n_conditions, last, up_end, down_start,
-            count, n_pm,
-        )
+        count, n_pm = self._load(p_members, n_members)
+        if self._kernel.walk(self._address, last, need, count, n_pm) < 0:
+            raise MemoryError("no memory for the run kernel's buffers")
         self._last_walk = (count, n_pm)
-        if total > self._capacity:
-            self._grow(max(total, 2 * self._capacity))
 
     def emit(
         self,
@@ -367,8 +507,43 @@ class RunPass:
         scored = len(chain) >= 2
         return int(
             self._kernel.emit(
-                self._address, self._n_conditions, count, n_pm, scored,
-                chain[-1], chain[0], chain[1] if scored else chain[0],
-                epsilon, min_genes, self._cap,
+                self._address, count, n_pm, scored, chain[-1], chain[0],
+                chain[1] if scored else chain[0], epsilon, min_genes,
+                self._cap,
             )
         )
+
+    def begin(self, hook: Callable[[int], int], **settings: float) -> None:
+        """Set a mine()'s settings and hook, and zero its counters.
+
+        ``settings`` names the integer and float fields of ``search_t``
+        (``min_genes``, ``epsilon``, the pruning flags, ``probe`` for a
+        hook call at every node and ``trace`` for the Figure 6 events).
+        ``hook(event)`` answers :data:`CONTINUE`, :data:`REDUNDANT` or
+        :data:`STOP`; it must not raise (the kernel cannot unwind a
+        Python exception).
+        """
+        self._hook = _HOOK(hook)
+        self.settings = _Search(cap=self._cap, hook=self._hook, **settings)
+
+    def search(
+        self,
+        start: int,
+        p_members: NDArray[np.intp],
+        n_members: NDArray[np.intp],
+        total: int,
+    ) -> bool:
+        """The Fig. 5 search of the chains starting at ``start``.
+
+        The root's members are ``p_members`` then ``n_members``; ``total``
+        counts their distinct genes.  Counters and phase seconds add up
+        in :attr:`settings`.  Returns whether the hook stopped it.
+        """
+        count, n_pm = self._load(p_members, n_members)
+        status = self._kernel.search(
+            self._address, ctypes.addressof(self.settings), start, n_pm,
+            count - n_pm, total,
+        )
+        if status < 0:
+            raise MemoryError("no memory for the search's node stack")
+        return bool(status)

@@ -31,29 +31,45 @@ Chain extensions are enumerated from the RWave^gamma index
 (:class:`repro.core.rwave.RWaveIndex`): for a member gene the conditions
 that extend its chain (Eq. 3) and can still reach ``MinC`` (pruning 2)
 form one contiguous run of its sorted conditions, bounded by one pointer
-lookup (Lemma 3.1) and one reach limit per gene.  A small C kernel
-(``_runs.c``, built on first use and bound with :mod:`ctypes` by
-:mod:`repro.core._runs`) makes two calls per node, on buffers its
-:class:`~repro.core._runs.RunPass` owns: one walks every member's run
-and counts each condition's p-member support; after the Python support
-filter, the other lists the viable (candidate, member) pairs and
-returns every candidate's coherent windows.  From depth 2 it scores each
-pair with Eq. 7 from the member's own row, drops non-finite scores,
-applies the coherence bucket prefilter, sorts each candidate's pairs by
-(score, gene) and scans their maximal windows; at depth 1 each
-candidate's members are its one window.  One Python loop per node then
-books each candidate and recurses into its windows.  Gene-membership
-splits go through one reusable boolean scratch mask over the full gene
-axis.  ``use_kernel=False`` selects the legacy
-per-candidate path, which re-derives Eq. 3 from raw values at every
-node and keeps a per-branch Eq. 7 baseline ``d_c2 - d_c1`` — kept both
-as the equivalence oracle (the two are proven bit-identical in
-``tests/core/test_miner_kernel_equivalence.py`` and
+lookup (Lemma 3.1) and one reach limit per gene.  Over a gene's sorted
+values float subtraction is monotone, so ``s[h] - s[last] > gamma_g``
+holds on a suffix of positions ``h``, from ``last``'s closest regulation
+successor, and pruning 2 on a prefix (``max_up`` never increases along
+the sorted conditions); an n-member's run is the mirror image, up to
+``last``'s closest predecessor.  No chain condition lies in a run.
+
+The search itself runs in C (``_runs.c``, built on first use and bound
+with :mod:`ctypes` by :mod:`repro.core._runs`): :meth:`RegClusterMiner.mine`
+makes one kernel call per start condition, and the kernel expands that
+start's subtree on an explicit node stack, on buffers its
+:class:`~repro.core._runs.RunPass` owns.  Each node takes the steps of
+:meth:`RegClusterMiner._expand` in its order: the counters, prunings 1
+and 3a, the emit check, then a walk of every member's run that counts
+each condition's p-member support, the support filter (pruning 3a needs
+``MinG / 2`` p-members), and one pass that lists the viable (candidate,
+member) pairs and returns every candidate's coherent windows.  From
+depth 2 that pass scores each pair with Eq. 7 from the member's own row,
+drops non-finite scores, applies the coherence bucket prefilter, sorts
+each candidate's pairs by (score, gene) and scans their maximal windows;
+at depth 1 the new pair *is* the Eq. 7 baseline (every member scores
+H = 1), so each candidate's members are its one window.  The node's
+candidates are then booked one at a time and each window of a candidate
+is visited as a child before the next candidate, so clusters, counters
+and Figure 6 events come out in the legacy order.  Python runs only
+where it must: at each emit-eligible node (the redundancy check, the
+cluster, ``max_clusters``), at each node when ``should_stop`` or
+``progress_callback`` is set, for each event of a ``tracer``, and every
+4096 nodes otherwise, so Ctrl-C is answered.  ``use_kernel=False``
+selects the legacy per-candidate path, which re-derives Eq. 3 from raw
+values at every node and keeps a per-branch Eq. 7 baseline ``d_c2 -
+d_c1`` — kept both as the equivalence oracle (the two are proven
+bit-identical in ``tests/core/test_miner_kernel_equivalence.py`` and
 ``tests/core/test_miner_differential.py``) and as the measured baseline
 of ``BENCH_baseline.json``; it is also the path taken, with a
 ``RuntimeWarning``, where no C compiler can build the kernel.  Each
 search phase (candidate generation / window partition / emit) is timed
-into :class:`PhaseTimers`, surfaced by ``reg-cluster mine --stats``, the
+into :class:`PhaseTimers` (on the fast path by the kernel, with
+``CLOCK_MONOTONIC``), surfaced by ``reg-cluster mine --stats``, the
 service job records and the benchmark-regression suite.
 """
 
@@ -65,6 +81,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Generator,
     Iterator,
     List,
     Optional,
@@ -76,7 +93,16 @@ from typing import (
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.core._runs import RunPass, run_kernel
+from repro.core._runs import (
+    CONTINUE,
+    COUNTERS,
+    EVENTS,
+    PHASES,
+    REDUNDANT,
+    STOP,
+    RunPass,
+    run_kernel,
+)
 from repro.core.chain import is_representative
 from repro.core.cluster import RegCluster
 from repro.core.params import MiningParameters
@@ -242,7 +268,11 @@ class _SearchLimitReached(Exception):
 
 
 #: Histogram resolution of the coherence prefilter the run kernel applies
-#: for :meth:`RegClusterMiner._extend_runs`.  Scores beyond
+#: from depth 2.  A window of spread <= epsilon occupies at most two
+#: adjacent epsilon-wide buckets of ``(score - low) / epsilon`` (four
+#: with the slack of the float bucketing itself), so a candidate whose
+#: best 4-adjacent-bucket count stays below MinG provably has no valid
+#: window; ``low`` is the node's least score.  Scores beyond
 #: ``min + _BUCKET_CAP * epsilon`` share the top bucket — merging buckets
 #: only relaxes the bound, so clipping never drops a viable candidate.
 #: Kept small: the histograms are rebuilt at every search node, and a
@@ -264,8 +294,8 @@ class RegClusterMiner:
         Lossless-pruning switches, defaults to all on.
     use_kernel:
         Take the fast path (default): enumerate chain extensions as
-        runs of the RWave^gamma index's sorted conditions and walk and
-        score each node's runs in the native run kernel.  ``False``
+        runs of the RWave^gamma index's sorted conditions and run the
+        whole search in the native run kernel.  ``False``
         re-derives Eq. 3 from raw values per candidate — the legacy
         path, kept as the measured baseline and equivalence oracle;
         both paths emit bit-identical results.  Without a C compiler
@@ -446,35 +476,186 @@ class RegClusterMiner:
                         f"with {self.matrix.n_conditions} conditions"
                     )
 
-        all_genes = np.arange(self.matrix.n_genes, dtype=np.intp)
-        min_c = self.params.min_conditions
-        try:
-            # Degenerate Eq. 7 baselines divide to inf/NaN (a subnormal
-            # baseline can also overflow the quotient); those scores are
-            # dropped (and counted) explicitly, so the warnings are
-            # silenced once here instead of per extension step.
-            with np.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                for start in starts:
-                    if self.prunings.reachability:
-                        p_mask = self.index.max_up[:, start] >= min_c
-                        n_mask = self.index.max_down[:, start] >= min_c
-                        self._stats.genes_pruned_reachability += int(
-                            (~p_mask).sum() + (~n_mask).sum()
-                        )
-                        p_members = all_genes[p_mask]
-                        n_members = all_genes[n_mask]
-                    else:
-                        p_members = all_genes
-                        n_members = all_genes
-                    self._expand((start,), p_members, n_members)
-        except _SearchLimitReached:
-            pass
+        if self._runs is not None:
+            self._search_natively(self._runs, starts)
+        else:
+            try:
+                # Degenerate Eq. 7 baselines divide to inf/NaN (a
+                # subnormal baseline can also overflow the quotient);
+                # those scores are dropped (and counted) explicitly, so
+                # the warnings are silenced once here instead of per
+                # extension step.
+                with np.errstate(divide="ignore", invalid="ignore",
+                                 over="ignore"):
+                    for start in starts:
+                        p_members, n_members, __ = self._roots(start)
+                        self._expand((start,), p_members, n_members)
+            except _SearchLimitReached:
+                pass
         return MiningResult(
             clusters=list(self._clusters),
             statistics=self._stats,
             parameters=self.params,
         )
+
+    def _roots(
+        self, start: int
+    ) -> Tuple[NDArray[np.intp], NDArray[np.intp], int]:
+        """The p- and n-members of the depth-1 node ``(start,)``, and
+        how many distinct genes they hold.
+
+        Pruning (2) keeps the genes whose longest chain from ``start``,
+        up or down, reaches MinC (and counts the others).  Orientation
+        is undetermined for a single condition, so the two member sets
+        may overlap.
+        """
+        n_genes = self.matrix.n_genes
+        all_genes = np.arange(n_genes, dtype=np.intp)
+        if not self.prunings.reachability:
+            return all_genes, all_genes, n_genes
+        min_c = self.params.min_conditions
+        p_mask = self.index.max_up[:, start] >= min_c
+        n_mask = self.index.max_down[:, start] >= min_c
+        self._stats.genes_pruned_reachability += int(
+            (~p_mask).sum() + (~n_mask).sum()
+        )
+        total = int(np.count_nonzero(p_mask | n_mask))
+        return all_genes[p_mask], all_genes[n_mask], total
+
+    def _search_natively(self, runs: RunPass, starts: Sequence[int]) -> None:
+        """The fast path: one kernel call per start condition.
+
+        The kernel expands every node of the start's subtree in C, in
+        :meth:`_expand`'s order and with its counters.  It calls back
+        into Python (:meth:`_hook`) only at emit-eligible nodes (the
+        redundancy check, the cluster, ``max_clusters``), at every node
+        for ``should_stop`` / ``progress_callback``, for each Figure 6
+        event when traced, and every few thousand nodes otherwise, so
+        Ctrl-C is answered.  An exception a hook raises is kept, the
+        search told to stop, and it is raised again here.
+        """
+        params, prunings = self.params, self.prunings
+        self._raised: Optional[BaseException] = None
+        hook = self._hook(runs)
+        next(hook)
+        runs.begin(
+            hook.send,
+            min_genes=params.min_genes,
+            min_conditions=params.min_conditions,
+            min_support=(
+                params.min_p_members if prunings.p_majority else 1
+            ),
+            epsilon=params.epsilon,
+            prune_min_genes=prunings.min_genes,
+            prune_p_majority=prunings.p_majority,
+            reachability=prunings.reachability,
+            probe=(
+                self.should_stop is not None
+                or self.progress_callback is not None
+            ),
+            trace=self.tracer is not None,
+        )
+        try:
+            for start in starts:
+                if runs.search(start, *self._roots(start)):
+                    break
+        finally:
+            hook.close()
+        if self._raised is not None:
+            raise self._raised
+        stats, counted = self._stats, runs.settings
+        for name in COUNTERS:
+            setattr(stats, name, getattr(counted, name))
+        for name in PHASES:
+            setattr(stats.timers, name, getattr(counted, name))
+
+    def _hook(self, runs: RunPass) -> Generator[int, int, None]:
+        """The kernel's hook, as a generator: its ``send(event)`` is
+        called from C and answers :data:`~repro.core._runs.CONTINUE`,
+        ``REDUNDANT`` or ``STOP``.
+
+        A generator, not a function, so that an exception raised as the
+        call enters Python (a pending Ctrl-C) still lands in its
+        ``try``; it is kept in ``_raised`` and the search stopped.
+        """
+        answer = CONTINUE
+        while True:
+            try:
+                event = yield answer
+                answer = self._on_event(runs, EVENTS[event])
+            except GeneratorExit:
+                return
+            # Kept and raised again once the kernel returns.
+            except BaseException as error:  # reglint: disable=RL103
+                self._raised = error
+                answer = STOP
+
+    def _on_event(self, runs: RunPass, event: str) -> int:
+        """Serve one hook call about the node ``runs.settings`` names."""
+        settings = runs.settings
+        nodes = settings.nodes_expanded
+        if event == "node":
+            if self.should_stop is not None and self.should_stop():
+                raise MiningCancelled(
+                    f"search cancelled after {nodes} nodes",
+                    partial_clusters=list(self._clusters),
+                )
+            if self.progress_callback is not None:
+                self.progress_callback("expanded", nodes)
+            return CONTINUE
+        if event == "tick":
+            return CONTINUE
+        chain = tuple(runs.chain[: settings.depth].tolist())
+        if event == "emit":
+            n_pm = settings.n_pm
+            members = runs.members[: n_pm + settings.n_n]
+            return self._emit(chain, members[:n_pm], members[n_pm:], nodes)
+        assert self.tracer is not None
+        self.tracer.record(chain, event)
+        return CONTINUE
+
+    def _emit(
+        self,
+        chain: Tuple[int, ...],
+        p_members: NDArray[np.intp],
+        n_members: NDArray[np.intp],
+        nodes: int,
+    ) -> int:
+        """Step 3 of Figure 5 at an emit-eligible node.
+
+        Emits the cluster unless the same chain and genes were emitted
+        before (pruning 3b: then :data:`~repro.core._runs.REDUNDANT`
+        ends the node, if that pruning is on).  Answers ``STOP`` once
+        ``max_clusters`` clusters are out.
+        """
+        stats = self._stats
+        key = (chain, frozenset(map(int, np.concatenate((p_members, n_members)))))
+        if key in self._emitted:
+            if not self.prunings.redundancy:
+                return CONTINUE
+            stats.pruned_redundant += 1
+            if self.tracer is not None:
+                self.tracer.record(chain, "pruned_redundant")
+            return REDUNDANT
+        self._emitted.add(key)
+        if self.tracer is not None:
+            self.tracer.record(chain, "emitted")
+        self._clusters.append(
+            RegCluster(
+                chain=chain,
+                p_members=tuple(map(int, p_members)),
+                n_members=tuple(map(int, n_members)),
+            )
+        )
+        stats.clusters_emitted += 1
+        if self.progress_callback is not None:
+            self.progress_callback("emitted", nodes)
+        if (
+            self.params.max_clusters is not None
+            and stats.clusters_emitted >= self.params.max_clusters
+        ):
+            return STOP
+        return CONTINUE
 
     # ------------------------------------------------------------------
     # Depth-first search (subroutine MineC^2 of Figure 5)
@@ -549,41 +730,16 @@ class RegClusterMiner:
             and is_representative(chain, p_members.shape[0], n_members.shape[0])
         ):
             emit_started = perf_counter()
-            key = (chain, frozenset(map(int, np.concatenate((p_members, n_members)))))
-            if key in self._emitted:
-                if self.prunings.redundancy:
-                    stats.pruned_redundant += 1
-                    if self.tracer is not None:
-                        self.tracer.record(chain, "pruned_redundant")
-                    timers.emit += perf_counter() - emit_started
-                    return
-                timers.emit += perf_counter() - emit_started
-            else:
-                self._emitted.add(key)
-                if self.tracer is not None:
-                    self.tracer.record(chain, "emitted")
-                self._clusters.append(
-                    RegCluster(
-                        chain=chain,
-                        p_members=tuple(map(int, p_members)),
-                        n_members=tuple(map(int, n_members)),
-                    )
-                )
-                stats.clusters_emitted += 1
-                timers.emit += perf_counter() - emit_started
-                if self.progress_callback is not None:
-                    self.progress_callback("emitted", stats.nodes_expanded)
-                if (
-                    params.max_clusters is not None
-                    and stats.clusters_emitted >= params.max_clusters
-                ):
-                    raise _SearchLimitReached
+            answer = self._emit(
+                chain, p_members, n_members, stats.nodes_expanded
+            )
+            timers.emit += perf_counter() - emit_started
+            if answer == REDUNDANT:
+                return
+            if answer == STOP:
+                raise _SearchLimitReached
 
         if depth >= self.matrix.n_conditions:
-            return
-
-        if self._runs is not None:
-            self._extend_runs(self._runs, chain, p_members, n_members)
             return
 
         if depth == 2:
@@ -667,8 +823,7 @@ class RegClusterMiner:
         last condition for the p-members and its predecessors for the
         n-members (prunings 2 and 3a make scanning n-members for support
         unnecessary).  The Eq. 3 tests are derived from raw values: this
-        is the legacy path's dense oracle for the runs that
-        :meth:`_extend_runs` walks.
+        is the legacy path's dense oracle for the runs the kernel walks.
         """
         params = self.params
         last = chain[-1]
@@ -748,97 +903,6 @@ class RegClusterMiner:
                 p_members[up_sel[:, position]],
                 n_members[down_sel[:, position]],
             )
-
-    def _extend_runs(
-        self,
-        runs: RunPass,
-        chain: Tuple[int, ...],
-        p_members: NDArray[np.intp],
-        n_members: NDArray[np.intp],
-    ) -> None:
-        """Expand every extension of a node, enumerated from RWave runs.
-
-        Why one run per member: over a gene's sorted values ``s`` float
-        subtraction is monotone, so ``s[h] - s[last] > gamma_g`` (Eq. 3)
-        holds on a suffix of positions ``h``, starting at ``last``'s
-        closest regulation successor (one pointer lookup, Lemma 3.1);
-        pruning 2 holds on a prefix (``max_up`` never increases along
-        the sorted conditions).  A p-member's extensions are the run
-        where both hold; an n-member's are the mirror image, from its
-        reach limit up to ``last``'s closest predecessor.  No chain
-        condition lies in a run: values strictly rise along a p-member's
-        chain and fall along an n-member's, so every chain condition
-        sits on the far side of ``last`` from its run.  Candidates need
-        enough p-member support (prunings 2 and 3a make scanning
-        n-members for support unnecessary).  The legacy
-        :meth:`_candidate_matrix` finds the same pairs densely.
-
-        The native kernel (:class:`repro.core._runs.RunPass`) walks the
-        runs, then emits every viable candidate's windows: from depth 2
-        the pairs' Eq. 7 scores, less the non-finite ones, pass the
-        coherence prefilter and are split into maximal windows in
-        (score, gene) order, as :func:`coherent_gene_windows` would; at
-        depth 1 the new pair *is* the Eq. 7 baseline (every member
-        scores H = 1), so each candidate's members, p-members first,
-        form its one window.  The per-candidate loop then books
-        statistics and tracer events and recurses in the legacy order,
-        so the emitted clusters are bit-identical.
-
-        The prefilter: a window of spread <= epsilon occupies at most two
-        adjacent epsilon-wide buckets of ``(score - low) / epsilon``
-        (four with the slack of the float bucketing itself), so a
-        candidate whose best 4-adjacent-bucket count stays below MinG
-        provably has no valid window.  It is conservative for any
-        ``low`` at or below every score (the kernel takes the least);
-        scores beyond ``low + _BUCKET_CAP * epsilon`` share the top
-        bucket, which only relaxes the bound.
-        """
-        stats = self._stats
-        timers = stats.timers
-        params = self.params
-        phase_started = perf_counter()
-        runs.walk(
-            p_members, n_members, chain[-1],
-            params.min_conditions - len(chain)
-            if self.prunings.reachability else 1,
-        )
-        viable = self._viable(chain, runs.support)
-        cands = viable.nonzero()[0].tolist()
-        emit_started = perf_counter()
-        timers.candidates += emit_started - phase_started
-        if not cands:
-            return
-        n_windows = runs.emit(viable, chain, params.epsilon, params.min_genes)
-        # The next node reuses the kernel's buffers: copy this one's out.
-        windows = runs.windows[:n_windows].tolist()
-        stop = windows[-1][2] + 1 if windows else 0
-        genes = runs.genes[:stop].copy()
-        in_p = runs.in_p[:stop].copy()
-        # Degenerate baselines (defensive — valid members always have
-        # |d_c2 - d_c1| > gamma_g >= 0): dropped, counted per candidate.
-        degenerate = runs.degenerate[viable].tolist()
-        if len(chain) >= 2:
-            timers.windows += perf_counter() - emit_started
-        else:
-            timers.candidates += perf_counter() - emit_started
-
-        cursor = 0
-        for condition, dropped in zip(cands, degenerate):
-            stats.candidates_examined += 1
-            stats.degenerate_genes_dropped += dropped
-            extended = chain + (condition,)
-            first = cursor
-            while cursor < n_windows and windows[cursor][0] == condition:
-                cursor += 1
-            if cursor == first:
-                stats.coherence_rejections += 1
-                if self.tracer is not None:
-                    self.tracer.record(extended, "pruned_coherence")
-                continue
-            for __, start, end in windows[first:cursor]:
-                window = genes[start : end + 1]
-                picks = in_p[start : end + 1]
-                self._expand(extended, window[picks], window[~picks])
 
     # ------------------------------------------------------------------
     # Coherence scores for one extension step

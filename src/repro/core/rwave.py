@@ -23,9 +23,11 @@ tables implement the paper's MinC pruning (strategy 2).
 
 :class:`RWaveIndex` holds the sorted order, the pointer lookups and the
 max-chain tables of every gene of a matrix.  It computes them for all
-genes in one vectorized pass (:func:`chain_tables`) instead of building
-one model object per gene, and builds a gene's :class:`RWaveModel` only
-when asked.
+genes in one call (:func:`chain_tables`: the compiled library of
+:mod:`repro.core._runs`, in O(#cond log #cond) a gene, or one
+vectorized numpy pass without a compiler) instead of building one model
+object per gene, and builds a gene's :class:`RWaveModel` only when
+asked.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from repro.analysis.contracts import maybe_check_rwave_index
+from repro.core._runs import native_tables
 from repro.core.kernels import RegulationKernel
 from repro.core.regulation import gene_thresholds
 from repro.matrix.expression import ExpressionMatrix
@@ -322,7 +325,7 @@ class ChainTables(NamedTuple):
 
 
 def chain_tables(values: ArrayLike, thresholds: ArrayLike) -> ChainTables:
-    """The RWave^gamma tables of every row, in one vectorized pass.
+    """The RWave^gamma tables of every row.
 
     Row ``g`` of each table equals ``RWaveModel(values[g],
     thresholds[g])``: its ``order`` and ``position``, its Lemma 3.1
@@ -333,8 +336,33 @@ def chain_tables(values: ArrayLike, thresholds: ArrayLike) -> ChainTables:
     or predecessor (going down), so the max-chain tables need only those
     two positions.  Over a row's sorted values ``s`` the exact Eq. 3
     predicate ``s[h] - s[q] > gamma_g`` holds on a prefix of ``q`` and a
-    suffix of ``h`` (float subtraction is monotone), so both positions
-    are counts over one ``(C, C)`` comparison plane per gene.
+    suffix of ``h`` (float subtraction is monotone).
+
+    The compiled library (:func:`repro.core._runs.native_tables`) builds
+    finite rows in O(#cond log #cond) a gene: a stable sort (ties in
+    condition-id order, as numpy's stable argsort), two pointers walking
+    that predicate, the longest-chain recurrences and the scatter back
+    to condition ids.  Without a compiler, or for rows with non-finite
+    values, :func:`_numpy_chain_tables` builds the same tables.
+    """
+    data = np.asarray(values, dtype=np.float64)
+    per_gene = np.asarray(thresholds, dtype=np.float64)
+    if np.isfinite(data).all():
+        tables = native_tables(data, per_gene, table_dtype(data.shape[1]))
+        if tables is not None:
+            return ChainTables(*tables)
+    return _numpy_chain_tables(data, per_gene)
+
+
+def _numpy_chain_tables(
+    values: ArrayLike, thresholds: ArrayLike
+) -> ChainTables:
+    """:func:`chain_tables` in one vectorized numpy pass (the fallback
+    and the test oracle of the compiled build).
+
+    Both closest positions are counts over one ``(C, C)`` comparison
+    plane per gene; the longest chains take one vectorized step per
+    condition.
     """
     data = np.asarray(values, dtype=np.float64)
     per_gene = np.asarray(thresholds, dtype=np.float64)

@@ -65,7 +65,10 @@ def _checked_names(names: Any, kind: str) -> Tuple[str, ...]:
 
 
 def _checked_values(values: Any, rows: int, kind: str) -> NDArray[np.float64]:
-    array = np.asarray(values, dtype=np.float64)
+    try:
+        array = np.asarray(values, dtype=np.float64)
+    except TypeError:
+        raise ValueError("delta values must be rows of numbers") from None
     if array.ndim != 2:
         raise ValueError(
             f"delta values must be 2-D, got shape {array.shape}"
@@ -157,10 +160,16 @@ def delta_to_dict(delta: MatrixDelta) -> Dict[str, Any]:
 
 
 def delta_from_dict(payload: Dict[str, Any]) -> MatrixDelta:
-    """Build a typed delta from its JSON form (re-validated on build)."""
+    """Build a typed delta from its JSON form (re-validated on build).
+
+    Raises :class:`ValueError` for a member of the wrong JSON type.
+    """
     if not isinstance(payload, dict):
         raise ValueError("delta must be a JSON object")
     kind = payload.get("kind")
+    for key in ("names", "values", "genes"):
+        if not isinstance(payload.get(key, []), list):
+            raise ValueError(f"delta {key!r} must be a list")
     if kind == AppendConditions.kind:
         return AppendConditions(
             names=tuple(payload.get("names", ())),

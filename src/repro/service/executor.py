@@ -78,6 +78,7 @@ from typing import (
     Union,
 )
 
+from repro.analysis.contracts import contracts_enabled, set_enabled
 from repro.core.cluster import RegCluster
 from repro.core.miner import (
     MiningCancelled,
@@ -264,8 +265,11 @@ def _init_worker(
     index: Optional[RWaveIndex],
     fault_plan: Optional[FaultPlan] = None,
     trace_config: Optional[TraceWorkerConfig] = None,
+    check_contracts: bool = False,
 ) -> None:
     global _WORKER_MINER, _WORKER_FAULTS, _WORKER_TRACE, _WORKER_TRACER
+    # The driver's contract flag, set before a worker builds its index.
+    set_enabled(check_contracts)
     _WORKER_MINER = RegClusterMiner(
         matrix, params, prunings=prunings, index=index
     )
@@ -786,7 +790,7 @@ def _drive_pool(
     )
     initargs = (
         driver.matrix, driver.params, driver.prunings, driver.index,
-        driver.fault_plan, trace_config,
+        driver.fault_plan, trace_config, contracts_enabled(),
     )
     n_shards = driver.matrix.n_conditions
 

@@ -100,7 +100,12 @@ def parameters_to_dict(params: MiningParameters) -> Dict[str, Any]:
 
 
 def parameters_from_dict(payload: Dict[str, Any]) -> MiningParameters:
-    """Inverse of :func:`parameters_to_dict` (re-validated on build)."""
+    """Inverse of :func:`parameters_to_dict` (re-validated on build).
+
+    Raises :class:`ValueError` for anything but an object of numbers.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("parameters must be a JSON object")
     known = {"min_genes", "min_conditions", "gamma", "epsilon", "max_clusters"}
     unknown = set(payload) - known
     if unknown:
@@ -112,6 +117,11 @@ def parameters_from_dict(payload: Dict[str, Any]) -> MiningParameters:
         raise ValueError(
             f"missing mining parameter(s): {', '.join(sorted(missing))}"
         )
+    for name, value in payload.items():
+        if not isinstance(value, (int, float, str)) and not (
+            name == "max_clusters" and value is None
+        ):
+            raise ValueError(f"mining parameter {name!r} must be a number")
     return MiningParameters(
         min_genes=int(payload["min_genes"]),
         min_conditions=int(payload["min_conditions"]),

@@ -44,6 +44,8 @@ import urllib.parse
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+import numpy as np
+
 from repro.incremental.delta import delta_from_dict
 from repro.matrix.expression import ExpressionMatrix
 from repro.matrix.io import parse_expression_text
@@ -152,7 +154,11 @@ class Response:
 
 
 def matrix_from_payload(payload: Any) -> ExpressionMatrix:
-    """Build a matrix from the ``matrix`` member of a POST body."""
+    """Build a matrix from the ``matrix`` member of a POST body.
+
+    A member of the wrong JSON type is a :class:`RequestError`, so a
+    malformed body gets a 400 rather than escaping the router.
+    """
     if not isinstance(payload, dict):
         raise RequestError(400, "matrix must be a JSON object")
     if ("values" in payload) == ("text" in payload):
@@ -160,12 +166,25 @@ def matrix_from_payload(payload: Any) -> ExpressionMatrix:
             400, "matrix must supply exactly one of 'values', 'text'"
         )
     if "text" in payload:
+        if not isinstance(payload["text"], str):
+            raise RequestError(400, "matrix 'text' must be a string")
         return parse_expression_text(payload["text"])
-    return ExpressionMatrix(
-        payload["values"],
-        payload.get("gene_names"),
-        payload.get("condition_names"),
-    )
+    names = [payload.get(key) for key in ("gene_names", "condition_names")]
+    if not isinstance(payload["values"], list) or not all(
+        name is None or isinstance(name, list) for name in names
+    ):
+        raise RequestError(
+            400,
+            "matrix 'values' must be a list of rows, and 'gene_names' "
+            "and 'condition_names' lists",
+        )
+    try:
+        values = np.asarray(payload["values"], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise RequestError(
+            400, "matrix 'values' must be rows of numbers"
+        ) from None
+    return ExpressionMatrix(values, *names)
 
 
 class ServiceRouter:
@@ -431,8 +450,16 @@ class ServiceRouter:
         matrix = matrix_from_payload(body["matrix"])
         gammas = body["gammas"]
         epsilons = body["epsilons"]
-        if not isinstance(gammas, list) or not isinstance(epsilons, list):
-            raise RequestError(400, "gammas and epsilons must be lists")
+        if not (
+            isinstance(gammas, list) and isinstance(epsilons, list)
+            and all(
+                isinstance(value, (int, float, str))
+                for value in gammas + epsilons
+            )
+        ):
+            raise RequestError(
+                400, "gammas and epsilons must be lists of numbers"
+            )
         priority = body.get("priority")
         if priority is not None and not isinstance(priority, str):
             raise RequestError(400, "priority must be a string")

@@ -106,8 +106,9 @@ MAX_LONGPOLL_SECONDS = 30.0
 
 _LOG = get_logger("repro.service.daemon")
 
-#: Persist live progress counters every this-many search nodes (keeps
-#: the on-disk record fresh without one fsync per node).
+#: Persist live progress counters each time the node count crosses a
+#: multiple of this (keeps the on-disk record fresh without one fsync
+#: per node).
 _PROGRESS_PERSIST_EVERY = 2048
 
 
@@ -1299,6 +1300,10 @@ class MiningService:
         }
 
         def on_progress(event: str, nodes_expanded: int) -> None:
+            crossed = (
+                nodes_expanded // _PROGRESS_PERSIST_EVERY
+                > progress["nodes_expanded"] // _PROGRESS_PERSIST_EVERY
+            )
             progress["nodes_expanded"] = nodes_expanded
             if event == "emitted":
                 progress["clusters_emitted"] += 1
@@ -1308,7 +1313,9 @@ class MiningService:
                 nodes_counted["value"] = nodes_expanded
             if self.progress_observer is not None:
                 self.progress_observer(job_id, event, nodes_expanded)
-            if nodes_expanded % _PROGRESS_PERSIST_EVERY == 0:
+            # The in-process search reports every node; pool and fleet
+            # shards report once each, jumping past the multiples.
+            if crossed:
                 self.jobs.update(job_id, progress=dict(progress))
 
         def on_shard_complete(shard: ShardResult) -> None:

@@ -1,16 +1,24 @@
 """Targeted tests for the miner's batched-node internals.
 
 Covers the degenerate-baseline accounting (the former silent-NaN path),
-the depth-1 distinct-member count, and the phase timers — the pieces of
-the kernelized hot path whose behaviour is not already pinned by the
-output-equivalence suite.
+the depth-1 distinct-member count, the phase timers, and how the native
+search hands control back to Python (raising hooks, Ctrl-C, a failed
+allocation) — the pieces of the kernelized hot path whose behaviour is
+not already pinned by the output-equivalence suite.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.miner import (
     PhaseTimers,
     RegClusterMiner,
@@ -18,6 +26,7 @@ from repro.core.miner import (
 )
 from repro.core.params import MiningParameters
 from repro.core.serialize import result_from_dict, result_to_dict
+from repro.core.trace import SearchTrace
 from repro.matrix.expression import ExpressionMatrix
 
 
@@ -168,3 +177,72 @@ class TestPhaseTimers:
             "windows": 2.0,
             "emit": 3.0,
         }
+
+
+#: Mines the 1200x17 Fig. 8 surrogate without hooks until interrupted.
+INTERRUPTED_SCRIPT = """
+from repro.core import RegClusterMiner
+from repro.experiments.fig8 import PAPER_YEAST_PARAMETERS, make_yeast_surrogate
+matrix = make_yeast_surrogate(shape=(1200, 17)).matrix
+miner = RegClusterMiner(matrix, PAPER_YEAST_PARAMETERS)
+assert miner.uses_kernel
+print("mining", flush=True)
+while True:
+    miner.mine()
+"""
+
+
+class TestNativeSearchHandsBackControl:
+    PARAMS = MiningParameters(
+        min_genes=3, min_conditions=5, gamma=0.15, epsilon=0.1
+    )
+
+    @pytest.mark.parametrize("hook", ["progress", "stop", "tracer"])
+    def test_a_raising_hook_raises_out_of_mine(self, running_example, hook):
+        class Boom(Exception):
+            pass
+
+        def boom(*args):
+            raise Boom(hook)
+
+        tracer = SearchTrace()
+        tracer.record = boom
+        options = {
+            "progress": {"progress_callback": boom},
+            "stop": {"should_stop": boom},
+            "tracer": {"tracer": tracer},
+        }[hook]
+        miner = RegClusterMiner(running_example, self.PARAMS, **options)
+        assert miner.uses_kernel
+        with pytest.raises(Boom, match=hook):
+            miner.mine()
+        # The pass is left usable: the next search runs to the end.
+        miner.progress_callback = miner.should_stop = miner.tracer = None
+        assert len(miner.mine()) == 1
+
+    def test_a_failed_allocation_is_a_memory_error(self, running_example):
+        miner = RegClusterMiner(running_example, self.PARAMS)
+        runs = miner._runs
+        runs._kernel = runs._kernel._replace(search=lambda *args: -1)
+        with pytest.raises(MemoryError):
+            miner.mine()
+
+    def test_an_unhooked_search_answers_ctrl_c(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        child = subprocess.Popen(
+            [sys.executable, "-c", INTERRUPTED_SCRIPT],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        try:
+            assert child.stdout.readline().strip() == "mining"
+            child.send_signal(signal.SIGINT)
+            __, err = child.communicate(timeout=60)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+        assert child.returncode != 0
+        assert "KeyboardInterrupt" in err
+        assert "Exception ignored" not in err

@@ -15,13 +15,23 @@ as well as deeper nodes.
 
 from __future__ import annotations
 
+import ctypes
 import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from repro.core._runs import _SOURCE, RunKernel, RunPass, _Pass, run_kernel
-from repro.core.miner import _BUCKET_CAP
+from repro.core._runs import (
+    _HOOK,
+    _SOURCE,
+    RunPass,
+    _Heap,
+    _Pass,
+    _Search,
+    run_kernel,
+)
+from repro.core.miner import _BUCKET_CAP, RegClusterMiner
+from repro.core.params import MiningParameters
 from repro.core.rwave import RWaveIndex, table_dtype
 from repro.core.window import coherent_gene_windows
 from repro.matrix.expression import ExpressionMatrix
@@ -278,11 +288,37 @@ def test_kernel_matches_the_numpy_transcription(n_conditions, width, seed):
         # The kernel lists the finite pairs before it filters them.
         n_listed = listed[0].shape[0]
         for name, expected in zip(("conds", "owners", "scores"), listed):
-            assert_bits_equal(runs._arrays[name][:n_listed], expected)
+            assert_bits_equal(runs._grown(name)[:n_listed], expected)
         clipped |= clip
         degenerate_seen |= bool(degenerate.any())
     # The generator reaches the edges it is meant to.
     assert clipped and degenerate_seen and deep_windows
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+def test_the_search_is_the_same_at_every_table_width(dtype):
+    # Real indexes only reach 4-byte tables past 32,766 conditions; the
+    # same tables widened must drive the same search.
+    index = random_index(np.random.default_rng(5), 40, 12)
+    params = MiningParameters(
+        min_genes=2, min_conditions=3, gamma=0.1, epsilon=0.5
+    )
+    miner = RegClusterMiner(index.matrix, params, index=index)
+    expected = miner.mine()
+    wide = index_like(
+        index,
+        **{
+            name: getattr(index, name).astype(dtype)
+            for name in (
+                "order", "successor_bound", "predecessor_bound", "max_up",
+                "max_down",
+            )
+        },
+    )
+    miner._runs = RunPass(run_kernel(np.dtype(dtype)), wide, _BUCKET_CAP)
+    result = miner.mine()
+    assert expected.clusters and result.clusters == expected.clusters
+    assert result.statistics.as_dict() == expected.statistics.as_dict()
 
 
 def one_pair_pass(candidates, values):
@@ -378,6 +414,7 @@ def test_arrays_the_kernel_cannot_read_safely_are_refused():
             ),
         ),
         (kernel, index_like(index, values=np.zeros((3, 5)))),
+        (kernel, index_like(index, max_down=index.max_down[:2])),
     ]
     for other_kernel, other_index in wrong:
         with pytest.raises(ValueError, match="one dtype"):
@@ -385,10 +422,9 @@ def test_arrays_the_kernel_cannot_read_safely_are_refused():
     # Inputs that do not fit the owned buffers (2 * 3 members, 4
     # conditions) never reach the kernel.
     calls = []
-    recording = RunKernel(
-        kernel.width,
-        lambda *args: calls.append("walk") or 0,
-        lambda *args: calls.append("emit") or 0,
+    recording = kernel._replace(
+        walk=lambda *args: calls.append("walk") or 0,
+        emit=lambda *args: calls.append("emit") or 0,
     )
     runs = RunPass(recording, index, _BUCKET_CAP)
     genes = np.arange(3, dtype=np.intp)
@@ -419,3 +455,28 @@ def test_the_pass_struct_lists_the_c_fields_in_order():
     assert declaration is not None
     fields = re.findall(r"\*\s*(\w+)", declaration.group(1))
     assert fields == [name for name, __ in _Pass._fields_]
+
+
+@pytest.mark.parametrize(
+    "struct, name", [(_Heap, "heap_t"), (_Search, "search_t")]
+)
+def test_the_shared_structs_list_the_c_fields_in_order(struct, name):
+    # The kernel writes counters, sizes and grown buffers into these;
+    # a field out of order or of another width would land elsewhere.
+    declaration = re.search(
+        r"typedef struct \{([^{}]*)\} " + name + ";", _SOURCE.read_text()
+    )
+    assert declaration is not None
+    body = re.sub(r"/\*.*?\*/", "", declaration.group(1), flags=re.S)
+    fields = []
+    for line in body.split(";"):
+        words = line.replace(",", " ").split()
+        fields += [
+            (word.strip("*"), "pointer" if word.startswith("*") else words[0])
+            for word in words[1:]
+        ]
+    kinds = {
+        "pointer": ctypes.c_void_p, "intptr_t": ctypes.c_ssize_t,
+        "double": ctypes.c_double, "hook_t": _HOOK,
+    }
+    assert [(field, kinds[kind]) for field, kind in fields] == struct._fields_

@@ -20,7 +20,7 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.core import _runs
+from repro.core import _runs, rwave
 from repro.core.miner import RegClusterMiner
 from repro.core.params import MiningParameters
 from repro.datasets.synthetic import SyntheticConfig, make_synthetic_dataset
@@ -194,6 +194,35 @@ def test_without_a_compiler_the_legacy_path_runs(
         (c.chain, c.p_members, c.n_members) for c in result.clusters
     ] == [(c.chain, c.p_members, c.n_members) for c in fast.clusters]
     assert result.statistics.as_dict() == fast.statistics.as_dict()
+
+
+def test_without_a_compiler_the_index_is_built_with_numpy(
+    tmp_path, matrix, monkeypatch
+):
+    numpy_builds = []
+    numpy_tables = rwave._numpy_chain_tables
+
+    def counting_tables(*args):
+        numpy_builds.append(args)
+        return numpy_tables(*args)
+
+    monkeypatch.setattr(rwave, "_numpy_chain_tables", counting_tables)
+    native = rwave.RWaveIndex(matrix, 0.1)
+    assert numpy_builds == []
+    monkeypatch.setattr(_runs, "_cache_dirs", lambda: (tmp_path / "cache",))
+    monkeypatch.setattr(_runs, "_loader", _runs._Loader())
+    monkeypatch.setattr(_runs, "_COMPILER", NO_COMPILER)
+    with pytest.warns(RuntimeWarning, match="built with numpy"):
+        index = rwave.RWaveIndex(matrix, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # warned once per process
+        again = rwave.RWaveIndex(matrix, 0.1)
+    assert len(numpy_builds) == 2
+    for built in (index, again):
+        for name in rwave.ChainTables._fields:
+            expected = getattr(native, name)
+            assert getattr(built, name).dtype == expected.dtype
+            np.testing.assert_array_equal(getattr(built, name), expected)
 
 
 def test_an_unwritable_package_cache_falls_back_to_the_next(

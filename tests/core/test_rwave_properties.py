@@ -13,7 +13,15 @@ from repro.analysis.contracts import (
     check_rwave_index,
     check_rwave_model,
 )
-from repro.core.rwave import RWaveIndex, RWaveModel
+from repro.core._runs import run_kernel
+from repro.core.rwave import (
+    ChainTables,
+    RWaveIndex,
+    RWaveModel,
+    _numpy_chain_tables,
+    chain_tables,
+    table_dtype,
+)
 from repro.matrix.expression import ExpressionMatrix
 
 profiles = st.lists(
@@ -212,6 +220,67 @@ def test_index_tables_equal_per_gene_models(case, gamma):
     assert_tables_match_models(
         RWaveIndex(matrix, gamma, thresholds=thresholds)
     )
+
+
+def assert_native_tables_match(values, thresholds):
+    """The compiled build equals the numpy build entry for entry, in the
+    same dtype, and every row equals its gene's RWaveModel."""
+    values = np.asarray(values, dtype=np.float64)
+    assert run_kernel(table_dtype(values.shape[1])) is not None
+    native = chain_tables(values, thresholds)
+    oracle = _numpy_chain_tables(values, thresholds)
+    for name in ChainTables._fields:
+        got, expected = getattr(native, name), getattr(oracle, name)
+        assert got.dtype == expected.dtype == table_dtype(values.shape[1])
+        np.testing.assert_array_equal(got, expected, err_msg=name)
+    for gene, row in enumerate(values):
+        model = RWaveModel(row, float(thresholds[gene]))
+        conditions = range(row.shape[0])
+        np.testing.assert_array_equal(native.order[gene], model.order)
+        np.testing.assert_array_equal(native.position[gene], model.position)
+        assert native.successor_bound[gene].tolist() == [
+            model.successor_bound(c) for c in conditions
+        ]
+        assert native.predecessor_bound[gene].tolist() == [
+            model.predecessor_bound(c) for c in conditions
+        ]
+        np.testing.assert_array_equal(
+            native.max_up[gene, model.order], model.max_chain_up
+        )
+        np.testing.assert_array_equal(
+            native.max_down[gene, model.order], model.max_chain_down
+        )
+
+
+@given(matrices_and_thresholds(), gammas)
+@settings(max_examples=200, deadline=None)
+def test_native_tables_equal_the_numpy_build(case, gamma):
+    matrix, thresholds = case
+    if thresholds is None:
+        thresholds = RWaveIndex(matrix, gamma).thresholds
+    assert_native_tables_match(matrix.values, np.asarray(thresholds))
+
+
+@pytest.mark.parametrize("n_conditions", [1, 2, 127, 128, 129, 130])
+def test_native_tables_on_tie_heavy_rows(n_conditions):
+    """Ties everywhere, at the widths around the int8/int16 switch."""
+    rng = np.random.default_rng(n_conditions)
+    values = rng.integers(-3, 4, size=(8, n_conditions)).astype(float)
+    values[1] = 2.0  # a constant row
+    # -0.0 against 0.0: equal, so their order is the condition ids'
+    values[2] = np.where(rng.random(n_conditions) < 0.5, -0.0, 0.0)
+    values[3, ::2] = -0.0
+    values[4] = rng.integers(0, 2, size=n_conditions) * 0.5
+    thresholds = np.array([0.0, 0.0, 0.0, 1.0, 0.5, 0.0, 2.0, 0.25])
+    assert_native_tables_match(values, thresholds)
+
+
+def test_native_tables_sort_a_wide_row():
+    """One 3000-condition row: the sort's merges, far past its
+    insertion-sort runs, keep ties in condition-id order."""
+    rng = np.random.default_rng(3000)
+    values = rng.integers(0, 40, size=(1, 3000)).astype(float)
+    assert_native_tables_match(values, np.array([1.5]))
 
 
 @pytest.mark.parametrize("n_genes", [511, 512, 513, 1025])

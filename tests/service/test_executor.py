@@ -13,11 +13,13 @@ import weakref
 
 import pytest
 
+from repro.analysis import contracts
 from repro.core.miner import MiningCancelled, RegClusterMiner, mine_reg_clusters
 from repro.core.params import MiningParameters
 from repro.core.rwave import RWaveIndex
 from repro.datasets.synthetic import make_synthetic_dataset
 from repro.matrix.summary import matrix_digest
+from repro.service import executor
 from repro.service.executor import (
     merge_shard_results,
     mine_sharded,
@@ -207,11 +209,16 @@ class TestFailurePaths:
         from repro.service.executor import mine_sharded_outcome
 
         seen = []
+        # Every shard has clusters at MinC 3, so the first one booked
+        # asks to stop while others are still unbooked; were only one
+        # shard to have clusters, it could be booked last, with nothing
+        # left to cancel.
+        params = synthetic_params.with_overrides(min_conditions=3)
 
         with pytest.raises(MiningCancelled) as info:
             mine_sharded_outcome(
                 synthetic,
-                synthetic_params,
+                params,
                 n_workers=2,
                 on_shard_complete=lambda shard: seen.extend(shard[1]),
                 should_stop=lambda: bool(seen),
@@ -288,3 +295,20 @@ class TestFinishedJobsReleaseTheirArtifacts:
             assert alive() is None
         finally:
             gc.enable()
+
+
+def test_the_worker_initializer_installs_the_drivers_contract_flag(
+    monkeypatch, running_example, paper_params
+):
+    # A spawned worker re-imports the contracts module with the flag
+    # off; only the initializer's argument can turn it on before the
+    # worker builds its own index.
+    monkeypatch.setattr(contracts, "_enabled", False)
+    for name in (
+        "_WORKER_MINER", "_WORKER_FAULTS", "_WORKER_TRACE", "_WORKER_TRACER"
+    ):
+        monkeypatch.setattr(executor, name, None)
+    executor._init_worker(
+        running_example, paper_params, None, None, None, None, True
+    )
+    assert contracts.contracts_enabled()

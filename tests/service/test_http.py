@@ -14,6 +14,9 @@ from repro.service.http import ServiceClient, ServiceError, serve
 from repro.service.jobs import parameters_to_dict
 from repro.service.service import MiningService
 
+#: A revision route of a well-formed (never stored) matrix digest.
+REVISIONS = "/matrices/" + "a" * 64 + "/revisions"
+
 
 @pytest.fixture
 def stack(tmp_path):
@@ -214,6 +217,61 @@ class TestErrors:
                 "error": "matrix must supply exactly one of 'values', 'text'"
             }
         assert opened == []
+
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/jobs", {"matrix": {"values": {"a": 1}}}),
+            ("/jobs", {"matrix": {"text": 5}}),
+            ("/jobs", {"matrix": {"values": [[1, 2]], "gene_names": 5}}),
+            ("/jobs", {"matrix": {"values": [[1, 2]]}, "parameters": 5}),
+            (
+                "/jobs",
+                {
+                    "matrix": {"values": [[1, 2]]},
+                    "parameters": {"min_genes": 3, "min_conditions": 5,
+                                   "gamma": None, "epsilon": 0.1},
+                },
+            ),
+            (
+                REVISIONS,
+                {"delta": {"kind": "append_conditions", "names": 5,
+                           "values": [[1.0]]}},
+            ),
+            (
+                REVISIONS,
+                {"delta": {"kind": "append_genes", "names": ["x"],
+                           "values": {"x": 1}}},
+            ),
+            (
+                "/sweeps",
+                {"matrix": {"values": [[1, 2]]}, "gammas": [None],
+                 "epsilons": [0.1]},
+            ),
+            (
+                "/sweeps",
+                {"matrix": {"values": [[1, 2]]}, "gammas": [0.1],
+                 "epsilons": [{"a": 1}]},
+            ),
+        ],
+    )
+    def test_wrongly_typed_members_are_400(self, tmp_path, path, body):
+        # The router promises never to raise: a member of the wrong JSON
+        # type is the client's error, not a 500 the client retries.
+        from repro.service import router as routing
+
+        body.setdefault(
+            "parameters",
+            {"min_genes": 3, "min_conditions": 5, "gamma": 0.15,
+             "epsilon": 0.1},
+        )
+        handler = routing.ServiceRouter(MiningService(tmp_path / "store"))
+        response = handler.handle(
+            routing.Request("POST", path, body=json.dumps(body).encode())
+        )
+        assert response.status == 400
+        assert json.loads(response.body)["error"]
 
 
 class TestClientRetry:

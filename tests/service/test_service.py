@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from repro.core.miner import mine_reg_clusters
+from repro.core.miner import RegClusterMiner, mine_reg_clusters
 from repro.core.params import MiningParameters
+from repro.datasets.synthetic import SyntheticConfig, make_synthetic_dataset
 from repro.core.serialize import result_to_dict
 from repro.service.jobs import JobState
+from repro.service import service as service_module
 from repro.service.service import MiningService
 
 
@@ -54,6 +58,58 @@ class TestLifecycle:
         service.delete(record.job_id)
         with pytest.raises(KeyError):
             service.status(record.job_id)
+
+    def test_pool_progress_is_persisted_before_the_job_ends(
+        self, tmp_path, monkeypatch
+    ):
+        # Pool shards report cumulative node counts once per shard.  With
+        # a persist interval that no sum of shard totals is a multiple
+        # of, but which the job's total passes, the live record must
+        # still be written before the terminal one.
+        matrix = make_synthetic_dataset(
+            SyntheticConfig(n_genes=300, n_conditions=12, n_clusters=4,
+                            seed=2)
+        ).matrix
+        params = MiningParameters(
+            min_genes=3, min_conditions=6, gamma=0.1, epsilon=0.01
+        )
+        miner = RegClusterMiner(matrix, params)
+        totals = [
+            miner.mine(start_conditions=[start]).statistics.nodes_expanded
+            for start in range(matrix.n_conditions)
+        ]
+        sums = {
+            sum(shards)
+            for size in range(1, len(totals) + 1)
+            for shards in itertools.combinations(totals, size)
+        }
+        every = next(
+            k for k in range(2, sum(totals) + 1)
+            if all(total % k for total in sums)
+        )
+        monkeypatch.setattr(service_module, "_PROGRESS_PERSIST_EVERY", every)
+        service = MiningService(tmp_path / "store", n_workers=2)
+        writes = []
+        update = service.jobs.update
+
+        def recording_update(job_id, **changes):
+            writes.append(changes)
+            return update(job_id, **changes)
+
+        monkeypatch.setattr(service.jobs, "update", recording_update)
+        record = service.submit(matrix, params)
+        service.run_pending()
+        assert service.status(record.job_id).state is JobState.DONE
+        terminal = next(
+            at for at, changes in enumerate(writes)
+            if changes.get("state") is JobState.DONE
+        )
+        live = [
+            changes["progress"]["nodes_expanded"]
+            for changes in writes[:terminal]
+            if "progress" in changes and "state" not in changes
+        ]
+        assert live and live[0] >= every
 
 
 class TestIdempotence:
