@@ -83,7 +83,7 @@ load-smoke:
 # three in-range conditions, and require the revision job to reuse at
 # least the planner's clean-shard fraction while staying bit-identical
 # to a from-scratch mine — then a 2x2 sweep that must build exactly one
-# cold kernel per gamma (docs/incremental.md).
+# cold index per gamma (docs/incremental.md).
 incremental-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/incremental_smoke.py
 

@@ -4,13 +4,14 @@ The distributed counterpart of ``scripts/chaos_smoke.py``
 (docs/distributed.md).  One scenario, real processes end to end:
 
 1. Boot a coordinator daemon (``serve --fleet --fleet-no-local``) with a
-   short lease TTL, plus **two** ``reg-cluster node`` worker processes.
-   The victim node runs under a ``delay-shard`` fault plan so it holds
-   every shard it leases long enough to be killed mid-mine; the
-   survivor mines at full speed.
+   short lease TTL, plus a victim ``reg-cluster node`` worker process.
+   The victim runs under a ``delay-shard`` fault plan so it holds every
+   shard it leases long enough to be killed mid-mine.
 2. Submit the paper's running example over HTTP, wait until the victim
-   actually holds a lease, then SIGKILL it — no shutdown handshake, no
-   heartbeat goodbye.
+   actually holds a lease, start the survivor node (full speed), then
+   SIGKILL the victim — no shutdown handshake, no heartbeat goodbye.
+   The survivor starts only once the victim holds its lease: started
+   together, it could mine every shard before the victim leased one.
 3. Require the lease to be reclaimed after the TTL, the job to finish
    ``done`` with a result *identical* to a direct in-process
    :func:`repro.core.miner.mine_reg_clusters` run, the per-shard
@@ -144,14 +145,14 @@ def _run(tmp: str, matrix, params, direct) -> int:
              "--cache-dir", str(Path(tmp) / "victim-cache")],
             REPRO_FAULTS=VICTIM_FAULTS,
         )
-        procs[SURVIVOR] = _spawn(
-            [*node_argv, "--node-id", SURVIVOR,
-             "--cache-dir", str(Path(tmp) / "survivor-cache")],
-        )
 
         record = client.submit_matrix(matrix, parameters_to_dict(params))
         job_id = record["job_id"]
         _wait_for_lease(client, VICTIM)
+        procs[SURVIVOR] = _spawn(
+            [*node_argv, "--node-id", SURVIVOR,
+             "--cache-dir", str(Path(tmp) / "survivor-cache")],
+        )
         procs[VICTIM].kill()  # SIGKILL: no goodbye, the lease just dies
         print(f"fleet: {VICTIM} SIGKILLed while holding a lease")
 

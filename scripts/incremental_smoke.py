@@ -8,14 +8,14 @@ The delta-aware counterpart of ``scripts/serve_smoke.py``
    and run the revision job.  The job must reuse at least as many
    shards as the :class:`~repro.incremental.DirtyShardPlanner`
    classifies clean (``JobRecord.reused_shards`` is the provenance),
-   must delta-update the kernel instead of rebuilding it cold
-   (``kernel_build == "delta"``), and the counters in the rendered
-   metrics must agree.
+   must obtain its RWave^gamma index through the parent's instead of a
+   cold build (``index_build == "delta"``), and the counters in the
+   rendered metrics must agree.
 2. **Bit-identity.**  The stitched child result must have *exactly*
    the clusters of mining the child from scratch in a pristine
    service — reuse is an optimization, never an approximation.
 3. **Sweep batching.**  A 2x2 gamma/epsilon sweep over the base
-   matrix must build exactly one cold kernel per gamma (the other
+   matrix must build exactly one cold index per gamma (the other
    points hit the artifact cache), with every point finishing done.
 
 Exit status 0 on success; prints a unified summary either way.
@@ -61,8 +61,8 @@ def _in_range_delta(matrix: ExpressionMatrix) -> AppendConditions:
     """Three new conditions strictly inside every gene's [min, max].
 
     Keeping appended values in range keeps each gene's Eq. 4 threshold
-    ``gamma * (max - min)`` float-identical, which is what makes kernel
-    plane reuse (and clean shards) possible at all.
+    ``gamma * (max - min)`` float-identical, which is what makes clean
+    shards possible at all.
     """
     rng = np.random.default_rng(7)
     lo = matrix.values.min(axis=1)
@@ -117,10 +117,10 @@ def _phase_revision_reuse(tmp: Path):
             f"planner found {len(plan.clean_shards)} clean"
         )
         return None
-    if done.kernel_build != "delta":
+    if done.index_build != "delta":
         print(
-            "incremental: FAIL — expected a delta kernel build, got "
-            f"{done.kernel_build!r}"
+            "incremental: FAIL — expected a delta index build, got "
+            f"{done.index_build!r}"
         )
         return None
     if done.revision_parent != parent.job_id:
@@ -134,7 +134,7 @@ def _phase_revision_reuse(tmp: Path):
         metrics, 'repro_incremental_shards_total{source="reused"}'
     )
     delta_builds = _counter(
-        metrics, 'repro_incremental_kernel_builds_total{mode="delta"}'
+        metrics, 'repro_incremental_index_builds_total{mode="delta"}'
     )
     if reused_counted != len(reused) or delta_builds < 1:
         print(
@@ -145,7 +145,7 @@ def _phase_revision_reuse(tmp: Path):
         return None
     print(
         f"incremental: reused {len(reused)}/{plan.n_shards} shards, "
-        f"kernel delta-updated (metrics agree)"
+        f"index delta-updated (metrics agree)"
     )
     return service, record, child
 
@@ -171,7 +171,7 @@ def _phase_bit_identity(tmp: Path, service, record, child) -> int:
 
 
 def _phase_sweep(tmp: Path) -> int:
-    print("incremental: phase 3 — 2x2 sweep, one cold kernel per gamma")
+    print("incremental: phase 3 — 2x2 sweep, one cold index per gamma")
     matrix = _base_matrix()
     service = MiningService(tmp / "sweep-store", n_workers=1)
     batch = service.submit_sweep(
@@ -184,19 +184,19 @@ def _phase_sweep(tmp: Path) -> int:
         return 1
     metrics = service.metrics.render()
     cold = _counter(
-        metrics, 'repro_incremental_kernel_builds_total{mode="cold"}'
+        metrics, 'repro_incremental_index_builds_total{mode="cold"}'
     )
     cached = _counter(
-        metrics, 'repro_incremental_kernel_builds_total{mode="cached"}'
+        metrics, 'repro_incremental_index_builds_total{mode="cached"}'
     )
     if cold != 2 or cached != 2:
         print(
-            "incremental: FAIL — expected 2 cold + 2 cached kernel "
+            "incremental: FAIL — expected 2 cold + 2 cached index "
             f"builds for 2 gammas x 2 epsilons, got {cold} cold / "
             f"{cached} cached"
         )
         return 1
-    print("incremental: 4 points done with 2 cold kernel builds (one "
+    print("incremental: 4 points done with 2 cold index builds (one "
           "per gamma), 2 cache hits")
     return 0
 

@@ -17,8 +17,8 @@ Exercises the full `reg-cluster serve` stack end to end:
 5. resubmit and require an idempotent answer served from cache;
 6. on a fresh single-worker store, submit the same matrix/gamma twice
    (different epsilon, so the result cache cannot answer) and require
-   the regulation kernel artifact to be built once and reused — the
-   second job must record a kernel cache hit.
+   the RWave^gamma index artifact to be built once and reused — the
+   second job must record an index cache hit.
 
 Exit status 0 on success; prints a unified summary either way.
 Used by ``make serve-smoke`` and the CI ``service-smoke`` job.
@@ -135,8 +135,8 @@ def main() -> int:
             server.server_close()
             thread.join(timeout=5)
 
-    # Kernel artifact reuse, checked on an in-process (single-worker)
-    # service.  Every job resolves its kernel in the daemon and stores
+    # Index artifact reuse, checked on an in-process (single-worker)
+    # service.  Every job resolves its index in the daemon and stores
     # it, whatever its worker count; pool workers inherit it.
     with tempfile.TemporaryDirectory(prefix="reg-cluster-smoke-") as store:
         service = MiningService(store, n_workers=1)
@@ -144,16 +144,16 @@ def main() -> int:
             first = service.submit(matrix, params)
             service.run_pending()
             first_done = service.status(first.job_id)
-            if first_done.kernel_cache_hit is not False:
+            if first_done.index_cache_hit is not False:
                 print("smoke: FAIL — first job should have built the "
-                      f"kernel, recorded {first_done.kernel_cache_hit!r}")
+                      f"index, recorded {first_done.index_cache_hit!r}")
                 return 1
-            if service.cache.stats.kernel_stores != 1:
-                print("smoke: FAIL — kernel artifact was not stored")
+            if service.cache.stats.index_stores != 1:
+                print("smoke: FAIL — index artifact was not stored")
                 return 1
 
             # Same matrix and gamma, different epsilon: new job id, so
-            # the result cache cannot short-circuit the kernel lookup.
+            # the result cache cannot short-circuit the index lookup.
             second = service.submit(
                 matrix, params.with_overrides(epsilon=0.3)
             )
@@ -163,17 +163,17 @@ def main() -> int:
                 print(f"smoke: FAIL — second job ended "
                       f"{second_done.state.value}: {second_done.error}")
                 return 1
-            if second_done.kernel_cache_hit is not True:
-                print("smoke: FAIL — second job rebuilt the kernel")
+            if second_done.index_cache_hit is not True:
+                print("smoke: FAIL — second job rebuilt the index")
                 return 1
-            if service.cache.stats.kernel_hits != 1 or (
-                service.cache.stats.kernel_stores != 1
+            if service.cache.stats.index_hits != 1 or (
+                service.cache.stats.index_stores != 1
             ):
-                print("smoke: FAIL — kernel cache counters off: "
+                print("smoke: FAIL — index cache counters off: "
                       f"{service.cache.stats.as_dict()}")
                 return 1
-            print("smoke: kernel artifact built once, second submission "
-                  "served from cache (kernel_cache_hit recorded)")
+            print("smoke: index artifact built once, second submission "
+                  "served from cache (index_cache_hit recorded)")
         finally:
             service.stop()
 

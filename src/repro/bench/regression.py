@@ -267,7 +267,7 @@ class IncrementalCase:
     gene's [min, max] (so Eq. 4 thresholds are float-identical and the
     :class:`~repro.incremental.DirtyShardPlanner` can keep old shards
     clean).  The measurement compares running the *revision job*
-    (delta kernel update + stitch + mine dirty shards) against mining
+    (delta index update + stitch + mine dirty shards) against mining
     the child matrix from scratch in a pristine service.
     """
 

@@ -895,9 +895,9 @@ def _cmd_status(args: argparse.Namespace) -> int:
         return 2
     for key in ("job_id", "state", "priority", "tenant", "matrix_digest",
                 "submitted_at", "started_at", "finished_at", "error",
-                "index_cache_hit", "kernel_cache_hit", "result_cache_hit",
+                "index_cache_hit", "result_cache_hit",
                 "missing_shards", "resumed_shards", "reused_shards",
-                "shard_failures", "revision_parent", "kernel_build",
+                "shard_failures", "revision_parent", "index_build",
                 "sweep_id"):
         value = record.get(key)
         if value is not None:
@@ -910,7 +910,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
     if args.stats:
         # Incremental reuse breakdown (docs/incremental.md): how many
         # shards were stitched from the parent job vs actually mined,
-        # and whether the kernel came from cache, a delta update, or a
+        # and whether the index came from cache, a delta update, or a
         # cold build.
         reused = record.get("reused_shards") or []
         provenance = record.get("shard_provenance") or {}
@@ -923,8 +923,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
             print(f"reuse.shards_reused: {len(reused)}")
             print(f"reuse.shards_mined: {mined}")
             print(f"reuse.parent_job: {record.get('revision_parent')}")
-        if record.get("kernel_build") is not None:
-            print(f"reuse.kernel_build: {record['kernel_build']}")
+        if record.get("index_build") is not None:
+            print(f"reuse.index_build: {record['index_build']}")
         # Per-shard provenance: which node (or "local"/"checkpoint"/
         # "parent") mined each shard, and in how many attempts —
         # populated for fleet and non-fleet jobs alike

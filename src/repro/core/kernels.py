@@ -19,9 +19,10 @@ megabyte).  Two projections read it back as dense ``(G, C)`` booleans:
 
 The miner does not read the kernel: it enumerates chain extensions from
 the RWave^gamma sorted order and pointer bounds of
-:class:`repro.core.rwave.RWaveIndex`.  The kernel remains a service
-artifact — cached per ``(matrix, gamma)``, shipped to fleet nodes and
-delta-updated across revisions (:mod:`repro.incremental.update`).
+:class:`repro.core.rwave.RWaveIndex`, and no service job builds one.
+The module is kept because the benchmark's layer replay
+(``perfbench/layers.py``) still builds, caches and delta-updates a
+kernel.
 
 The comparisons here are executed on exactly the same float operands as
 the direct Eq. 3 evaluation, so the packed bits agree with

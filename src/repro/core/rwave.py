@@ -533,16 +533,16 @@ class RWaveIndex:
             self.matrix.values[i], float(self.thresholds[i]), gene=i
         )
 
+    # Kept for perfbench (layers.py attaches a kernel, checks.py reads
+    # ``kernel.packed``); neither the miner nor any job path reads it.
     @property
     def kernel(self) -> RegulationKernel:
         """The packed regulation-pair kernel of this index, built lazily.
 
         The kernel is derived from the same values and thresholds as the
         models, so its bits agree with :meth:`RWaveModel.is_up_regulated`
-        everywhere.  The miner never reads it; the service caches it as
-        an artifact and ships it to fleet nodes.  Built on first access;
-        :meth:`attach_kernel` installs a prebuilt one (e.g. from the
-        service artifact cache).
+        everywhere.  Built on first access; :meth:`attach_kernel`
+        installs a prebuilt one.
         """
         if self._kernel is None:
             self._kernel = RegulationKernel(
@@ -550,11 +550,13 @@ class RWaveIndex:
             )
         return self._kernel
 
+    # Kept with :attr:`kernel`, for the same benchmark.
     @property
     def has_kernel(self) -> bool:
         """Whether the kernel has already been built (or attached)."""
         return self._kernel is not None
 
+    # Kept with :attr:`kernel`: perfbench/layers.py attaches one.
     def attach_kernel(self, kernel: RegulationKernel) -> None:
         """Install a prebuilt kernel (must match this index's shape)."""
         if kernel.shape != self.matrix.shape:
@@ -568,8 +570,8 @@ class RWaveIndex:
         return self.matrix.n_genes
 
     def __getstate__(self) -> "dict[str, object]":
-        """Pickle without the kernel: it is cached as its own artifact
-        (see :mod:`repro.service.cache`) and rebuilt lazily elsewhere."""
+        """Pickle without the kernel: no reader of a pickled index
+        needs it, and it is rebuilt lazily on access."""
         state = dict(self.__dict__)
         state["_kernel"] = None
         return state

@@ -8,15 +8,16 @@ reusable, delta-updatable artifact instead of a from-scratch job:
 * typed matrix deltas and the :class:`MatrixRevision` lineage model
   (:mod:`repro.incremental.delta`), persisted content-addressed by the
   :class:`RevisionStore` (:mod:`repro.incremental.lineage`);
-* incremental maintenance of the RWave^gamma index and the packed-bit
-  regulation kernel — only new/changed planes are rebuilt, proven
-  bit-identical to a cold build (:mod:`repro.incremental.update`);
+* incremental maintenance of the RWave^gamma index — only the rows of
+  new genes are computed, proven bit-identical to a cold build
+  (:mod:`repro.incremental.update`, which also keeps the benchmark's
+  packed-bit kernel update);
 * the :class:`DirtyShardPlanner`, which maps a delta to the shards
   whose mining inputs actually changed, so a revision job re-mines
   only dirty shards and stitches the rest from its parent
   (:mod:`repro.incremental.planner`);
 * batched gamma/epsilon parameter sweeps that build each (matrix,
-  gamma) kernel once (:mod:`repro.incremental.sweep`).
+  gamma) index once (:mod:`repro.incremental.sweep`).
 
 See ``docs/incremental.md`` for the lineage model, the shard-reuse
 soundness argument, and the sweep API.

@@ -2,12 +2,12 @@
 
 A sweep submits the cross product of a gamma grid and an epsilon grid
 as ordinary mining jobs sharing one matrix.  The batching win is the
-kernel: the ``O(G C^2)`` packed relation depends on ``(matrix, gamma)``
-only, so the grid is expanded *gamma-major* — all epsilon points of a
-gamma run back to back, the first builds (and caches) the kernel and
-the rest hit the artifact cache.  The service asserts exactly one
-kernel build per distinct gamma via the ``repro_incremental_kernel_
-builds_total`` metric family.
+RWave^gamma index: it depends on ``(matrix, gamma)`` only, so the grid
+is expanded *gamma-major* — all epsilon points of a gamma run back to
+back, the first builds (and caches) the index and the rest hit the
+artifact cache.  The service asserts exactly one index build per
+distinct gamma via the ``repro_incremental_index_builds_total`` metric
+family.
 
 Points map to ordinary job ids (``compute_job_id`` over the derived
 parameters), so sweep results deduplicate against — and are shared
@@ -66,7 +66,7 @@ def expand_grid(
     """The (gamma, epsilon) cross product, gamma-major.
 
     Gamma-major order is the batching contract: consecutive points
-    share a gamma, so each ``(matrix, gamma)`` kernel is built exactly
+    share a gamma, so each ``(matrix, gamma)`` index is built exactly
     once and every later point of that gamma reuses it from the
     artifact cache.
     """

@@ -1,7 +1,10 @@
 """Incremental maintenance of the RWave^gamma index and the kernel.
 
-Both artifacts are per-gene structures over float comparisons, which
-makes delta updates exact rather than approximate:
+The service delta-updates the index (:func:`update_index`): it is the
+one artifact a job mines from.  :func:`update_kernel` is kept for the
+benchmark's layer replay; no job path calls it.  Both are per-gene
+structures over float comparisons, which makes delta updates exact
+rather than approximate:
 
 * **Kernel** (:class:`~repro.core.kernels.RegulationKernel`): the
   packed tensor holds one independent ``(C, ceil(C/8))`` plane per
@@ -55,6 +58,7 @@ __all__ = ["IndexUpdate", "KernelUpdate", "update_index", "update_kernel"]
 _UPDATE_CHUNK = 512
 
 
+# Kept for perfbench/layers.py, with update_kernel.
 @dataclass(frozen=True)
 class KernelUpdate:
     """A delta-updated kernel plus its reuse accounting."""
@@ -170,6 +174,7 @@ def _append_conditions_packed(
     return packed, reused, n_genes - reused
 
 
+# Kept for perfbench/layers.py, which times it; no job path calls it.
 def update_kernel(
     parent_kernel: RegulationKernel,
     parent_matrix: ExpressionMatrix,
@@ -239,8 +244,8 @@ def update_index(
 ) -> IndexUpdate:
     """Delta-update a parent index to its child matrix (same gamma).
 
-    The returned index carries no kernel — pair it with
-    :func:`update_kernel` (or a cold build) via ``attach_kernel``.
+    The returned index's tables equal those of
+    ``RWaveIndex(child_matrix, parent_index.gamma)`` built cold.
     """
     parent_matrix = parent_index.matrix
     _check_pair(parent_matrix, child_matrix, delta)

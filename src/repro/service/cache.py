@@ -1,6 +1,6 @@
 """On-disk LRU cache for expensive mining artifacts.
 
-Three artifact kinds are memoized:
+Two artifact kinds serve jobs:
 
 ``index``
     A pickled :class:`~repro.core.rwave.RWaveIndex`, keyed by matrix
@@ -8,15 +8,15 @@ Three artifact kinds are memoized:
     two max-chain tables, about three times the matrix's float bytes.
     The same index serves *every* parameter setting that shares gamma —
     only MinG/MinC/epsilon change between typical sweep jobs.
-``kernel``
-    A pickled :class:`~repro.core.kernels.RegulationKernel` — the
-    bit-packed Eq. 3 relation the miner's hot path runs on — keyed the
-    same way as the index (digest + gamma determine it completely).
-    Cached separately from the index so each stays small and evicts
-    independently.
 ``result``
     A completed mining result in the ``reg-cluster/v1`` JSON schema,
     keyed by job id (which already encodes digest + all parameters).
+
+A third kind, ``kernel`` (a pickled
+:class:`~repro.core.kernels.RegulationKernel`, keyed like the index),
+is still stored and loaded by :meth:`ArtifactCache.put_kernel` /
+:meth:`ArtifactCache.get_kernel` for the benchmark's layer replay; no
+job reads or writes it.
 
 The cache is a directory of artifact files plus a ``manifest.json``
 recording sizes and last-use ordering; total bytes are bounded by
@@ -24,9 +24,9 @@ evicting least-recently-used entries.  Everything is guarded by one
 lock, so HTTP threads and the execution worker can share an instance.
 
 Every execution path — the daemon's jobs and a fleet node's leases —
-obtains its index and kernel through :meth:`ArtifactCache.resolve`:
-cache hit, else a delta update of the parent matrix's artifact, else a
-cold build, storing whatever it built.
+obtains its index through :meth:`ArtifactCache.resolve`: cache hit,
+else a delta update of the parent matrix's index, else a cold build,
+storing whatever it built.
 """
 
 # The cache lock deliberately serializes artifact/manifest file I/O —
@@ -49,7 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 from repro.core.kernels import RegulationKernel
 from repro.core.rwave import RWaveIndex
 from repro.incremental.delta import MatrixDelta
-from repro.incremental.update import update_index, update_kernel
+from repro.incremental.update import update_index
 from repro.matrix.expression import ExpressionMatrix
 from repro.service.resilience import FaultKind, FaultPlan
 
@@ -58,17 +58,17 @@ __all__ = [
     "CacheStats",
     "DEFAULT_MAX_BYTES",
     "Lineage",
-    "kernel_cache_key",
+    "index_cache_key",
 ]
 
 #: A revised matrix's ``(parent_digest, parent_matrix, delta)`` — what
 #: :meth:`ArtifactCache.resolve` needs to delta-update the parent's
-#: artifacts instead of building cold.
+#: index instead of building cold.
 Lineage = Tuple[str, ExpressionMatrix, MatrixDelta]
 
 #: Default size bound: an index pickles to about three times its
 #: matrix's float bytes (about 8 MB at 8000x40, 1.2 MB for the 2884x17
-#: yeast matrix), so dozens of paper-scale indexes and kernels fit.
+#: yeast matrix), so dozens of paper-scale indexes fit.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 
@@ -79,6 +79,7 @@ class CacheStats:
     index_hits: int = 0
     index_misses: int = 0
     index_stores: int = 0
+    # Kernel counters move only through get_kernel/put_kernel (kept below).
     kernel_hits: int = 0
     kernel_misses: int = 0
     kernel_stores: int = 0
@@ -125,7 +126,8 @@ class _ManifestEntry:
 
 #: Index/kernel keys embed the matrix digest; results do not.
 _ARTIFACT_KEY = re.compile(r"^(?:index|kernel)-([0-9a-f]{64})-gamma-")
-#: The class a pickled artifact of each kind must unpickle to.
+#: The class a pickled artifact of each kind must unpickle to (the
+#: kernel entry serves get_kernel, kept below).
 _ARTIFACT_TYPES = {"index": RWaveIndex, "kernel": RegulationKernel}
 
 
@@ -138,11 +140,11 @@ def _artifact_key(kind: str, matrix_digest: str, gamma: float) -> str:
     return f"{kind}-{matrix_digest}-gamma-{float(gamma)!r}"
 
 
-def kernel_cache_key(matrix_digest: str, gamma: float) -> str:
-    """The cache key of a kernel artifact — doubles as the fleet's
-    shard-affinity token: a node advertising this key already built
-    the (matrix, gamma) kernel (docs/distributed.md)."""
-    return _artifact_key("kernel", matrix_digest, gamma)
+def index_cache_key(matrix_digest: str, gamma: float) -> str:
+    """The cache key of an index artifact — doubles as the fleet's
+    shard-affinity token: a node advertising this key already holds
+    the (matrix, gamma) index (docs/distributed.md)."""
+    return _artifact_key("index", matrix_digest, gamma)
 
 
 def _result_key(job_id: str) -> str:
@@ -302,7 +304,7 @@ class ArtifactCache:
         """Increment one :class:`CacheStats` field under the cache lock.
 
         Counters are written concurrently from HTTP handler threads
-        (result lookups) and the executor thread (index/kernel reuse);
+        (result lookups) and the executor thread (index reuse);
         an unlocked ``+=`` is a read-modify-write race that loses
         updates (reglint RL301).
         """
@@ -383,7 +385,7 @@ class ArtifactCache:
             return {k: e.size for k, e in self._manifest.items()}
 
     # ------------------------------------------------------------------
-    # RWave indexes and regulation kernels
+    # RWave indexes (and the benchmark's regulation kernels)
     # ------------------------------------------------------------------
 
     def _get_pickled(self, kind: str, matrix_digest: str, gamma: float) -> Any:
@@ -443,6 +445,8 @@ class ArtifactCache:
         """
         self._put_pickled("index", matrix_digest, gamma, index, parent_digest)
 
+    # Kept for perfbench/layers.py, which times a kernel round trip; no
+    # job path stores or loads a kernel.
     def get_kernel(
         self, matrix_digest: str, gamma: float
     ) -> Optional[RegulationKernel]:
@@ -452,6 +456,7 @@ class ArtifactCache:
         )
         return kernel
 
+    # Kept for perfbench/layers.py, like get_kernel.
     def put_kernel(
         self,
         matrix_digest: str,
@@ -471,92 +476,51 @@ class ArtifactCache:
 
     def resolve(
         self,
-        kind: str,
         matrix_digest: str,
         gamma: float,
         matrix: ExpressionMatrix,
         *,
-        index: Optional[RWaveIndex] = None,
         lineage: Optional[Lineage] = None,
-    ) -> Tuple[Any, str, Dict[str, int]]:
-        """The ``kind`` artifact (``"index"`` or ``"kernel"``) of
-        (digest, gamma), however it has to be obtained.
+    ) -> Tuple[RWaveIndex, str]:
+        """The RWave^gamma index of (digest, gamma), however it has to
+        be obtained.
 
         Tries a cache hit, then — when ``lineage`` names the matrix's
         ``(parent_digest, parent_matrix, delta)`` — a delta update of
-        the parent's cached artifact (docs/incremental.md), then a cold
-        build (from ``index`` when one is given).  Whatever was built
-        is stored, tagged with its parent digest when delta-updated;
-        the store is best-effort, so a failed write (e.g. a full disk)
-        still returns the artifact.
+        the parent's cached index (docs/incremental.md), then a cold
+        build.  Whatever was built is stored, tagged with its parent
+        digest when delta-updated; the store is best-effort, so a
+        failed write (e.g. a full disk) still returns the index.
 
-        Returns ``(artifact, build, planes)``: ``build`` is
-        ``"cached"``, ``"delta"`` or ``"cold"``, and ``planes`` holds a
-        delta-updated kernel's ``reused_planes`` / ``rebuilt_planes``
-        (empty otherwise).
+        Returns ``(index, build)``, ``build`` being ``"cached"``,
+        ``"delta"`` or ``"cold"``.
         """
-        artifact = self._get_pickled(kind, matrix_digest, gamma)
-        if artifact is not None:
-            return artifact, "cached", {}
-        planes: Dict[str, int] = {}
+        index = self.get_index(matrix_digest, gamma)
+        if index is not None:
+            return index, "cached"
         parent_digest: Optional[str] = None
         if lineage is not None:
-            parent_digest, parent_matrix, delta = lineage
-            parent = self._get_pickled(kind, parent_digest, gamma)
+            parent_digest, __, delta = lineage
+            parent = self.get_index(parent_digest, gamma)
             try:
-                if parent is not None and kind == "index":
-                    artifact = update_index(parent, matrix, delta).index
-                elif parent is not None:
-                    update = update_kernel(
-                        parent, parent_matrix, matrix, delta, gamma=gamma
-                    )
-                    artifact = update.kernel
-                    planes = {
-                        "reused_planes": update.reused_planes,
-                        "rebuilt_planes": update.rebuilt_planes,
-                    }
+                if parent is not None:
+                    index = update_index(parent, matrix, delta).index
             except (TypeError, ValueError):
                 pass  # the parent does not fit the lineage: build cold
-        build = "delta" if artifact is not None else "cold"
-        if artifact is None:
+        build = "delta" if index is not None else "cold"
+        if index is None:
             parent_digest = None
-            if index is None:
-                index = RWaveIndex(matrix, gamma)
-            artifact = index if kind == "index" else index.kernel
+            index = RWaveIndex(matrix, gamma)
         try:
-            self._put_pickled(
-                kind, matrix_digest, gamma, artifact, parent_digest
+            self.put_index(
+                matrix_digest, gamma, index, parent_digest=parent_digest
             )
         except OSError:
-            pass  # best-effort: the in-memory artifact still serves
-        return artifact, build, planes
+            pass  # best-effort: the in-memory index still serves
+        return index, build
 
-    def get_kernel_bytes(
-        self, matrix_digest: str, gamma: float
-    ) -> Optional[bytes]:
-        """The raw pickled kernel artifact, or ``None`` on a miss.
-
-        The fleet artifact-exchange seam: the coordinator serves this
-        verbatim over ``GET /artifacts/kernel/...`` and a node stores
-        it straight into its own cache via :meth:`put_kernel_bytes` —
-        no unpickle/re-pickle round trip on either side
-        (docs/distributed.md).  Counted as a kernel hit/miss like
-        :meth:`get_kernel`.
-        """
-        data = self._load(_artifact_key("kernel", matrix_digest, gamma))
-        self._bump("kernel_misses" if data is None else "kernel_hits")
-        return data
-
-    def put_kernel_bytes(
-        self, matrix_digest: str, gamma: float, data: bytes
-    ) -> None:
-        """Store an already-pickled kernel artifact under (digest, gamma)."""
-        key = _artifact_key("kernel", matrix_digest, gamma)
-        self._store(key, f"{key}.pkl", data)
-        self._bump("kernel_stores")
-
-    def kernel_keys(self) -> List[str]:
-        """Cache keys of every kernel artifact currently held.
+    def index_keys(self) -> List[str]:
+        """Cache keys of every index artifact currently held.
 
         The fleet node advertises these in its lease requests so the
         coordinator can route shards of the same (matrix, gamma) back
@@ -564,7 +528,7 @@ class ArtifactCache:
         """
         with self._lock:
             return sorted(
-                key for key in self._manifest if key.startswith("kernel-")
+                key for key in self._manifest if key.startswith("index-")
             )
 
     # ------------------------------------------------------------------

@@ -74,6 +74,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -512,6 +513,9 @@ class _ShardDriver:
         self.shards: List[ShardResult] = list(self.resumed.values())
         self.missing: Dict[int, str] = {}
         self.failed_attempts: Dict[int, int] = {}
+        #: shards :meth:`mine_here` mined: their miner already reported
+        #: each cluster to ``progress_callback`` as it emitted it
+        self.mined_here: Set[int] = set()
         self.nodes_so_far = sum(
             int(shard[2].get("nodes_expanded", 0))
             for shard in self.resumed.values()
@@ -591,8 +595,7 @@ class _ShardDriver:
         node.  The driver that mines in-process owns it and reuses it
         across shards, like a pool worker's; the ledger keeps no
         reference, so ledger and miner never form a cycle that would
-        hold a finished job's index and kernel until a garbage
-        collection.
+        hold a finished job's index until a garbage collection.
         """
         return RegClusterMiner(
             self.matrix,
@@ -639,6 +642,7 @@ class _ShardDriver:
                 result = miner.mine(start_conditions=[start])
                 shard = _shard_result(start, result)
                 _annotate_shard_span(span, shard)
+                self.mined_here.add(start)
                 return shard
         except MiningTimeout:
             raise
@@ -674,8 +678,9 @@ class _ShardDriver:
                 self.on_shard_complete(shard)
         if self.progress_callback is not None:
             self.progress_callback("expanded", self.nodes_so_far)
-            if clusters:
-                self.progress_callback("emitted", self.nodes_so_far)
+            if start not in self.mined_here:
+                for __ in clusters:
+                    self.progress_callback("emitted", self.nodes_so_far)
 
     def record_failure(
         self, start: int, error: Union[BaseException, str]

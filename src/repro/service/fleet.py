@@ -33,12 +33,12 @@ variable guard every mutable field; the HTTP handler threads
   :class:`~repro.service.resilience.RetryPolicy` budget, so a shard
   that keeps landing on dying nodes eventually degrades exactly like a
   shard that keeps crashing locally.
-* **Affinity** — lease requests advertise the kernel artifacts the
+* **Affinity** — lease requests advertise the index artifacts the
   node already holds (:meth:`~repro.service.cache.ArtifactCache
-  .kernel_keys`); the coordinator prefers handing out shards of a job
-  whose (matrix, gamma) kernel the node has already built, falling
-  back freely.  The bit-packed RWave^gamma kernel is thus built once
-  per node, not once per shard.
+  .index_keys`); the coordinator prefers handing out shards of a job
+  whose (matrix, gamma) RWave^gamma index the node already holds,
+  falling back freely.  The index is thus built once per node, not
+  once per shard.
 * **Idempotence** — a ``complete`` for a reclaimed or finished lease
   is rejected with ``{"accepted": false}`` and counted; the result the
   late node computed is identical to whatever the retry produced
@@ -47,11 +47,12 @@ variable guard every mutable field; the HTTP handler threads
 Node side
 ---------
 :class:`FleetNode` is the worker: heartbeat thread + lease loop.  It
-fetches matrices and kernels from the coordinator *by content digest*
-(``GET /artifacts/...``), keeps them in its own
-:class:`~repro.service.cache.ArtifactCache`, and mines leased shards
-via ``mine_sharded_outcome(..., shards=leased)`` — reusing the entire
-retry-free single-machine pipeline, including its tracing.
+fetches matrices from the coordinator *by content digest*
+(``GET /artifacts/matrix/...``), resolves each (matrix, gamma) index
+through its own :class:`~repro.service.cache.ArtifactCache`, and mines
+leased shards via ``mine_sharded_outcome(..., shards=leased)`` —
+reusing the entire retry-free single-machine pipeline, including its
+tracing.
 
 Lock discipline (docs/robustness.md, "Concurrency model"): no file
 I/O, sleeping, or network calls ever run under the fleet lock.  Handler
@@ -97,7 +98,7 @@ from repro.obs.trace import (
     Tracer,
     load_spans,
 )
-from repro.service.cache import ArtifactCache, kernel_cache_key
+from repro.service.cache import ArtifactCache, index_cache_key
 from repro.service.executor import (
     ShardResult,
     ShardedOutcome,
@@ -145,7 +146,7 @@ class _NodeInfo:
 
     node_id: str
     last_seen: float  # monotonic
-    kernels: Set[str] = field(default_factory=set)
+    indexes: Set[str] = field(default_factory=set)
     shards_completed: int = 0
     shards_failed: int = 0
 
@@ -182,7 +183,7 @@ class _FleetJob:
         self.job_id = job_id
         self.ledger = ledger
         self.matrix_digest = matrix_digest
-        self.kernel_key = kernel_cache_key(matrix_digest, ledger.params.gamma)
+        self.index_key = index_cache_key(matrix_digest, ledger.params.gamma)
         self.pending: List[int] = list(ledger.pending)
         #: monotonic time before which a re-queued shard must not be
         #: leased again (the RetryPolicy backoff, enforced queue-side).
@@ -260,15 +261,15 @@ class FleetState:
     # ------------------------------------------------------------------
 
     def _touch_node_locked(
-        self, node_id: str, kernels: Optional[Sequence[str]], now: float
+        self, node_id: str, indexes: Optional[Sequence[str]], now: float
     ) -> _NodeInfo:
         node = self._nodes.get(node_id)
         if node is None:
             node = _NodeInfo(node_id=node_id, last_seen=now)
             self._nodes[node_id] = node
         node.last_seen = now
-        if kernels is not None:
-            node.kernels = {str(key) for key in kernels}
+        if indexes is not None:
+            node.indexes = {str(key) for key in indexes}
         return node
 
     def _fail_shard_locked(
@@ -355,12 +356,12 @@ class FleetState:
     # ------------------------------------------------------------------
 
     def heartbeat(
-        self, node_id: str, kernels: Sequence[str] = ()
+        self, node_id: str, indexes: Sequence[str] = ()
     ) -> Dict[str, Any]:
         """Record node liveness; extends every lease the node holds."""
         now = time.monotonic()
         with self._cond:
-            self._touch_node_locked(node_id, kernels, now)
+            self._touch_node_locked(node_id, indexes, now)
             self._stats.heartbeats += 1
             extended = 0
             for job in self._jobs.values():
@@ -384,12 +385,12 @@ class FleetState:
     def lease(
         self,
         node_id: str,
-        kernels: Sequence[str] = (),
+        indexes: Sequence[str] = (),
         max_shards: Optional[int] = None,
     ) -> Optional[Dict[str, Any]]:
         """Grant a batch of shards of one job, or ``None`` when idle.
 
-        Affinity: jobs whose kernel artifact the node already holds are
+        Affinity: jobs whose index artifact the node already holds are
         preferred; the grant says whether it was an affinity hit so the
         node (and the metrics) can tell.
         """
@@ -400,7 +401,7 @@ class FleetState:
             else max(1, min(int(max_shards), self.max_lease_shards))
         )
         with self._cond:
-            node = self._touch_node_locked(node_id, kernels, now)
+            node = self._touch_node_locked(node_id, indexes, now)
             self._reclaim_locked(now)
             candidates = [
                 job for job in self._jobs.values() if job.due_pending(now)
@@ -408,7 +409,7 @@ class FleetState:
             if not candidates:
                 return None
             affine = [
-                job for job in candidates if job.kernel_key in node.kernels
+                job for job in candidates if job.index_key in node.indexes
             ]
             if affine:
                 job = affine[0]
@@ -694,7 +695,7 @@ class FleetState:
                     node_id: {
                         "active": now - node.last_seen <= self.lease_ttl,
                         "last_seen_s": round(now - node.last_seen, 3),
-                        "kernels": len(node.kernels),
+                        "indexes": len(node.indexes),
                         "leases_held": held.get(node_id, 0),
                         "shards_completed": node.shards_completed,
                         "shards_failed": node.shards_failed,
@@ -749,7 +750,7 @@ class FleetNode:
         knob as the daemon's ``--workers``).
     cache_dir:
         Directory of the node's own
-        :class:`~repro.service.cache.ArtifactCache` (indexes, kernels)
+        :class:`~repro.service.cache.ArtifactCache` (indexes)
         and fetched-trace scratch space.
     poll_interval:
         Seconds to sleep between empty lease polls.
@@ -817,7 +818,7 @@ class FleetNode:
         while not self._heartbeat_stop.wait(self._heartbeat_interval()):
             try:
                 answer = self.client.fleet_heartbeat(
-                    self.node_id, kernels=self.cache.kernel_keys()
+                    self.node_id, indexes=self.cache.index_keys()
                 )
                 self._lease_ttl = float(
                     answer.get("lease_ttl", self._lease_ttl)
@@ -872,7 +873,7 @@ class FleetNode:
         """One poll: lease, mine, report.  ``True`` when work was done."""
         lease = self.client.fleet_lease(
             self.node_id,
-            kernels=self.cache.kernel_keys(),
+            indexes=self.cache.index_keys(),
             max_shards=self.max_lease_shards,
         )
         if lease is None:
@@ -930,22 +931,7 @@ class FleetNode:
         params = parameters_from_dict(dict(lease["parameters"]))
         shards = [int(start) for start in lease["shards"]]
         matrix = self._matrix(digest)
-        kernel_key = kernel_cache_key(digest, params.gamma)
-        if kernel_key not in self.cache.kernel_keys():
-            # The coordinator's kernel beats building one here.
-            raw = self.client.fetch_kernel(digest, params.gamma)
-            if raw is not None:
-                try:
-                    self.cache.put_kernel_bytes(digest, params.gamma, raw)
-                except OSError:
-                    pass
-        index, __, __ = self.cache.resolve(
-            "index", digest, params.gamma, matrix
-        )
-        kernel, __, __ = self.cache.resolve(
-            "kernel", digest, params.gamma, matrix, index=index
-        )
-        index.attach_kernel(kernel)
+        index, __ = self.cache.resolve(digest, params.gamma, matrix)
         trace = lease.get("trace")
         tracer: Tracer = NULL_TRACER
         trace_parent: Optional[SpanContext] = None

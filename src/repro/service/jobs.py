@@ -157,6 +157,12 @@ def compute_job_id(matrix_digest: str, params: MiningParameters) -> str:
     return f"job-{hasher.hexdigest()[:16]}"
 
 
+#: Keys that records written by earlier versions carry for fields
+#: since removed.  Dropped on load so such a store still opens; any
+#: other unknown key still raises.
+_RETIRED_KEYS = ("kernel_cache_hit", "kernel_build")
+
+
 @dataclass(frozen=True)
 class JobRecord:
     """One job's persisted metadata (everything but the result payload)."""
@@ -174,9 +180,6 @@ class JobRecord:
     #: was the RWave index served from the artifact cache? (``None``
     #: until the job reaches the index-acquisition step)
     index_cache_hit: Optional[bool] = None
-    #: was the regulation kernel served from the artifact cache?
-    #: (``None`` until the job reaches the kernel-acquisition step)
-    kernel_cache_hit: Optional[bool] = None
     #: was the whole result served from the artifact cache?
     result_cache_hit: Optional[bool] = None
     #: wall-clock seconds per search phase (candidates / windows /
@@ -213,10 +216,11 @@ class JobRecord:
     #: the parent job a revision job reused shards from (``None`` for
     #: ordinary jobs or when the parent offered nothing to reuse)
     revision_parent: Optional[str] = None
-    #: how this job's kernel was obtained: ``cached`` (artifact cache),
-    #: ``delta`` (incrementally updated from the parent's kernel), or
-    #: ``cold`` (packed from scratch); ``None`` until acquisition
-    kernel_build: Optional[str] = None
+    #: how this job's RWave index was obtained: ``cached`` (artifact
+    #: cache), ``delta`` (incrementally updated from the parent's
+    #: index), or ``cold`` (built from scratch); ``None`` until
+    #: acquisition
+    index_build: Optional[str] = None
     #: the sweep batch this job was submitted under (``None`` for
     #: individually submitted jobs)
     sweep_id: Optional[str] = None
@@ -229,6 +233,8 @@ class JobRecord:
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "JobRecord":
         data = dict(payload)
+        for key in _RETIRED_KEYS:
+            data.pop(key, None)
         data["state"] = JobState(data["state"])
         return cls(**data)
 

@@ -70,9 +70,6 @@ _RESULT_PATH = re.compile(r"^/jobs/(?P<job_id>[A-Za-z0-9_-]+)/result$")
 _MATRIX_ARTIFACT_PATH = re.compile(
     r"^/artifacts/matrix/(?P<digest>[0-9a-f]{64})$"
 )
-_KERNEL_ARTIFACT_PATH = re.compile(
-    r"^/artifacts/kernel/(?P<digest>[0-9a-f]{64})/(?P<gamma>[0-9.eE+-]+)$"
-)
 _REVISION_PATH = re.compile(
     r"^/matrices/(?P<digest>[0-9a-f]{64})/revisions$"
 )
@@ -272,11 +269,6 @@ class ServiceRouter:
         match = _MATRIX_ARTIFACT_PATH.match(path)
         if method == "GET" and match:
             return self._get_matrix_artifact(service, match.group("digest"))
-        match = _KERNEL_ARTIFACT_PATH.match(path)
-        if method == "GET" and match:
-            return self._get_kernel_artifact(
-                service, match.group("digest"), match.group("gamma")
-            )
         match = _REVISION_PATH.match(path)
         if method == "POST" and match:
             return self._post_revision(request, service, match.group("digest"))
@@ -338,13 +330,13 @@ class ServiceRouter:
         node_id = str(body.get("node_id") or "")
         if not node_id:
             raise RequestError(400, "lease request must name a node_id")
-        kernels = body.get("kernels") or []
-        if not isinstance(kernels, list):
-            raise RequestError(400, "kernels must be a list of cache keys")
+        indexes = body.get("indexes") or []
+        if not isinstance(indexes, list):
+            raise RequestError(400, "indexes must be a list of cache keys")
         max_shards = body.get("max_shards")
         lease = fleet.lease(
             node_id,
-            kernels=[str(key) for key in kernels],
+            indexes=[str(key) for key in indexes],
             max_shards=None if max_shards is None else int(max_shards),
         )
         return Response.json(200, {"lease": lease})
@@ -357,12 +349,12 @@ class ServiceRouter:
         node_id = str(body.get("node_id") or "")
         if not node_id:
             raise RequestError(400, "heartbeat must name a node_id")
-        kernels = body.get("kernels") or []
-        if not isinstance(kernels, list):
-            raise RequestError(400, "kernels must be a list of cache keys")
+        indexes = body.get("indexes") or []
+        if not isinstance(indexes, list):
+            raise RequestError(400, "indexes must be a list of cache keys")
         return Response.json(
             200,
-            fleet.heartbeat(node_id, kernels=[str(k) for k in kernels]),
+            fleet.heartbeat(node_id, indexes=[str(k) for k in indexes]),
         )
 
     def _get_matrix_artifact(
@@ -371,20 +363,6 @@ class ServiceRouter:
         data = service.matrix_artifact_bytes(digest)
         if data is None:
             raise RequestError(404, f"no stored matrix with digest {digest}")
-        return Response(200, data, content_type="application/octet-stream")
-
-    def _get_kernel_artifact(
-        self, service: MiningService, digest: str, gamma: str
-    ) -> Response:
-        try:
-            gamma_value = float(gamma)
-        except ValueError:
-            raise RequestError(400, f"bad gamma {gamma!r}") from None
-        data = service.kernel_artifact_bytes(digest, gamma_value)
-        if data is None:
-            raise RequestError(
-                404, f"no cached kernel for {digest} at gamma={gamma}"
-            )
         return Response(200, data, content_type="application/octet-stream")
 
     # -- job handlers --------------------------------------------------

@@ -330,11 +330,11 @@ class MiningService:
             "job (reused) or re-mined (mined).",
             labelnames=("source",),
         )
-        self._m_inc_kernel_builds = registry.counter(
-            "repro_incremental_kernel_builds_total",
-            "Kernel acquisitions by mode: artifact-cache hit (cached), "
-            "delta-updated from the parent matrix's kernel (delta), or "
-            "packed from scratch (cold).",
+        self._m_inc_index_builds = registry.counter(
+            "repro_incremental_index_builds_total",
+            "RWave^gamma index acquisitions by mode: artifact-cache hit "
+            "(cached), delta-updated from the parent matrix's index "
+            "(delta), or built from scratch (cold).",
             labelnames=("mode",),
         )
         self._m_inc_sweeps = registry.counter(
@@ -349,7 +349,7 @@ class MiningService:
     def _collect_cache_metrics(self) -> str:
         stats = self.cache.stats
         samples = []
-        for artifact in ("index", "kernel", "result"):
+        for artifact in ("index", "result"):
             for event in ("hit", "miss", "store"):
                 samples.append((
                     {"artifact": artifact, "event": event},
@@ -405,7 +405,7 @@ class MiningService:
         )
         text += render_family(
             "repro_fleet_affinity_total", "counter",
-            "Lease grants by kernel-affinity outcome.",
+            "Lease grants by index-affinity outcome.",
             [
                 ({"outcome": "hit"}, float(snap["affinity_hits"])),
                 ({"outcome": "miss"}, float(snap["affinity_misses"])),
@@ -545,12 +545,6 @@ class MiningService:
         except OSError:
             return None
 
-    def kernel_artifact_bytes(
-        self, digest: str, gamma: float
-    ) -> Optional[bytes]:
-        """The cached pickled kernel for (digest, gamma), or ``None``."""
-        return self.cache.get_kernel_bytes(digest, gamma)
-
     # ------------------------------------------------------------------
     # Public API: submit / status / result / cancel / delete
     # ------------------------------------------------------------------
@@ -633,8 +627,8 @@ class MiningService:
         parent, persisted content-addressed, and the lineage edge is
         recorded — then the child is submitted as an ordinary job.  The
         executor consults the lineage store when it picks the job up,
-        so the job delta-updates the parent's index/kernel artifacts
-        and stitches clean shards from the parent's result instead of
+        so the job delta-updates the parent's cached index and
+        stitches clean shards from the parent's result instead of
         re-mining them (docs/incremental.md).
 
         Raises :class:`KeyError` when ``parent_digest`` is not stored
@@ -677,9 +671,9 @@ class MiningService:
         Every grid point becomes an ordinary job (idempotent ids, fair
         queueing, caching — nothing sweep-specific downstream).  Points
         are enqueued gamma-major, so each distinct ``(matrix, gamma)``
-        kernel is packed exactly once and every later point of that
+        index is built exactly once and every later point of that
         gamma is served from the artifact cache — asserted via the
-        ``repro_incremental_kernel_builds_total`` metric family.
+        ``repro_incremental_index_builds_total`` metric family.
         """
         grid = expand_grid(gammas, epsilons)
         digest = matrix_digest(matrix)
@@ -1190,45 +1184,31 @@ class MiningService:
         params = parameters_from_dict(record.parameters)
 
         # 1b. Lineage: a job on a revised matrix becomes delta-aware —
-        #     index/kernel are delta-updated from the parent's cached
-        #     artifacts and clean shards are stitched from the parent
-        #     job.  Every reuse path is best-effort; losing the parent
-        #     only loses speed, never correctness.
+        #     the index is delta-updated from the parent's cached index
+        #     and clean shards are stitched from the parent job.  Every
+        #     reuse path is best-effort; losing the parent only loses
+        #     speed, never correctness.
         lineage = self._revision_context(record)
 
-        # 2. RWave^gamma index and regulation kernel, both keyed by
-        #    (digest, gamma): a cache hit, a delta update of the parent's
-        #    artifact, or a cold build.  Whatever is built is stored, so
-        #    the next job on this matrix (or a revision of it) starts
-        #    warm.  The kernel rides on the index to every shard driver.
+        # 2. The RWave^gamma index, keyed by (digest, gamma): a cache
+        #    hit, a delta update of the parent's index, or a cold build.
+        #    Whatever is built is stored, so the next job on this matrix
+        #    (or a revision of it) starts warm.  It is the one artifact
+        #    every shard driver mines from.
         digest = record.matrix_digest
         with tracer.span("index", parent=root) as span:
-            index, index_build, __ = self.cache.resolve(
-                "index", digest, params.gamma, matrix, lineage=lineage
+            index, index_build = self.cache.resolve(
+                digest, params.gamma, matrix, lineage=lineage
             )
             span.set_attributes(
                 {"cache_hit": index_build == "cached", "build": index_build}
             )
-        with tracer.span("kernel", parent=root) as span:
-            kernel, kernel_build, planes = self.cache.resolve(
-                "kernel", digest, params.gamma, matrix,
-                index=index, lineage=lineage,
-            )
-            index.attach_kernel(kernel)
-            span.set_attributes(
-                {
-                    **planes,
-                    "cache_hit": kernel_build == "cached",
-                    "build": kernel_build,
-                }
-            )
-        self._m_inc_kernel_builds.labels(mode=kernel_build).inc()
+        self._m_inc_index_builds.labels(mode=index_build).inc()
         self.jobs.update(
             job_id,
             index_cache_hit=index_build == "cached",
-            kernel_cache_hit=kernel_build == "cached",
             result_cache_hit=False,
-            kernel_build=kernel_build,
+            index_build=index_build,
         )
 
         # 3. The sharded search, with live progress, cancellation,

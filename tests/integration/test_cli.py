@@ -393,6 +393,8 @@ class TestServiceSubcommands:
         detail = capsys.readouterr().out
         assert "statistics.nodes_expanded: 17" in detail
         assert "statistics.clusters_emitted: 1" in detail
+        assert "reuse.index_build: cold" in detail
+        assert "kernel" not in detail
 
     def test_status_without_stats_omits_statistics(self, daemon,
                                                    example_file, capsys):

@@ -5,13 +5,15 @@ fleet queue (here with no nodes, so the coordinator mines every shard
 itself).  All three book their shards through the executor's one shard
 ledger, so a job must come out the same on each: the same clusters (the
 from-scratch ones, each a valid reg-cluster by Definition 3.2), the
-same resumed / reused shards and per-shard provenance, the same kernel
-acquisition, and the same shard and checkpoint spans.
+same resumed / reused shards and per-shard provenance, the same index
+acquisition, the same live cluster count and the same shard and
+checkpoint spans.  No path builds a regulation kernel: every test here
+runs with kernel construction made to raise.
 
-Inputs sit around the packed kernel's byte boundary (7, 8 and 9
-conditions) and carry one constant gene.  Job kinds: a fresh job, a job
-resumed after a zero-retry crash degraded it, and an ``append_genes``
-revision whose every shard is reused from the parent.
+Inputs have 7, 8 and 9 conditions and carry one constant gene.  Job
+kinds: a fresh job, a job resumed after a zero-retry crash degraded it,
+and an ``append_genes`` revision whose every shard is reused from the
+parent.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.core.kernels import RegulationKernel
 from repro.core.miner import RegClusterMiner
 from repro.core.params import MiningParameters
 from repro.core.serialize import cluster_from_dict, result_to_dict
 from repro.core.validate import validation_errors
+from repro.datasets.synthetic import make_synthetic_dataset
 from repro.incremental import AppendGenes, apply_delta
 from repro.matrix.expression import ExpressionMatrix
 from repro.matrix.summary import matrix_digest
@@ -51,6 +55,22 @@ PATHS = {
     "pool": {"n_workers": 2},
     "fleet": {"fleet": True},
 }
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """Building or packing a regulation kernel raises: jobs mine from
+    the RWave^gamma index alone."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an execution path built a regulation kernel")
+
+    monkeypatch.setattr(RegulationKernel, "__init__", refuse)
+    monkeypatch.setattr(RegulationKernel, "from_packed", classmethod(refuse))
+    monkeypatch.setattr(RegulationKernel, "pack_planes", classmethod(refuse))
+
+
+pytestmark = pytest.mark.usefixtures("no_kernel")
 
 
 @pytest.fixture(params=[7, 8, 9], ids=lambda c: f"{c}-conditions")
@@ -83,7 +103,7 @@ def observe(service, root, path, record, matrix):
         "resumed_shards": done.resumed_shards,
         "reused_shards": done.reused_shards,
         "shard_provenance": done.shard_provenance,
-        "kernel_build": done.kernel_build,
+        "index_build": done.index_build,
         "spans": Counter(
             span["name"] for span in spans
             if span["name"].startswith("shard")
@@ -121,7 +141,7 @@ def test_fresh_job(tmp_path, matrix):
     assert observed["fleet"]["spans"] == Counter(
         {"shard": n, "checkpoint": n}
     )
-    assert observed["fleet"]["kernel_build"] == "cold"
+    assert observed["fleet"]["index_build"] == "cold"
 
 
 def test_resumed_job(tmp_path, matrix):
@@ -144,7 +164,7 @@ def test_resumed_job(tmp_path, matrix):
     assert_paths_agree(observed, matrix)
     survivors = sorted(set(range(matrix.n_conditions)) - {VICTIM})
     assert observed["fleet"]["resumed_shards"] == survivors
-    assert observed["fleet"]["kernel_build"] == "cached"
+    assert observed["fleet"]["index_build"] == "cached"
 
 
 def test_fully_reused_revision(tmp_path, matrix):
@@ -172,4 +192,30 @@ def test_fully_reused_revision(tmp_path, matrix):
         str(s): {"node": "parent", "attempts": 0} for s in range(n)
     }
     assert fleet["spans"] == Counter({"shard.reused": n})
-    assert fleet["kernel_build"] == "delta"
+    assert fleet["index_build"] == "delta"
+
+
+def test_live_cluster_count(tmp_path):
+    """Every path reports each cluster exactly once as it is found, so
+    the live ``emitted`` events add up to the final cluster count."""
+    matrix = make_synthetic_dataset(
+        n_genes=300, n_conditions=12, seed=2
+    ).matrix
+    params = MiningParameters(
+        min_genes=3, min_conditions=6, gamma=0.1, epsilon=0.01
+    )
+    counts = {}
+    for path in PATHS:
+        events = Counter()
+        service = daemon(
+            tmp_path, path,
+            progress_observer=lambda job, event, nodes: events.update([event]),
+        )
+        record = service.submit(matrix, params)
+        service.run_pending()
+        done = service.status(record.job_id)
+        assert done.state is JobState.DONE, done.error
+        final = len(service.result(record.job_id)["clusters"])
+        counts[path] = (events["emitted"], final)
+    assert all(live == final for live, final in counts.values()), counts
+    assert len(set(counts.values())) == 1, counts

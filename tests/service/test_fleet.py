@@ -9,6 +9,7 @@ bit-identical to single-process mining.
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 import time
@@ -21,7 +22,7 @@ from repro.core.params import MiningParameters
 from repro.core.serialize import result_to_dict
 from repro.matrix.expression import ExpressionMatrix
 from repro.matrix.summary import matrix_digest
-from repro.service.cache import kernel_cache_key
+from repro.service.cache import index_cache_key
 from repro.service.fleet import (
     FleetNode,
     FleetState,
@@ -439,15 +440,15 @@ class TestContention:
 
 
 class TestAffinity:
-    def test_leases_prefer_nodes_holding_the_kernel(
+    def test_leases_prefer_nodes_holding_the_index(
         self, small_matrix, small_params
     ):
         state = FleetState(lease_ttl=30.0, local_mining=False)
         thread, box = _start_job(state, small_matrix, small_params)
-        key = kernel_cache_key(
+        key = index_cache_key(
             matrix_digest(small_matrix), small_params.gamma
         )
-        lease = _lease_or_wait(state, "node-warm", kernels=[key])
+        lease = _lease_or_wait(state, "node-warm", indexes=[key])
         assert lease["affinity_hit"] is True
         cold = state.lease("node-cold")
         if cold is not None:
@@ -462,7 +463,7 @@ class TestAffinity:
                     lease_id=granted["lease_id"],
                 ))
         while thread.is_alive():
-            more = state.lease("node-warm", kernels=[key])
+            more = state.lease("node-warm", indexes=[key])
             if more is None:
                 time.sleep(0.01)
                 continue
@@ -585,6 +586,15 @@ class TestFleetService:
             metrics = client.metrics()
             assert "repro_fleet_leases_granted_total" in metrics
             assert "repro_fleet_nodes_active" in metrics
+            # Each node fetched only the matrix and built the index in
+            # its own cache; no node holds a kernel.
+            key = index_cache_key(record.matrix_digest, paper_params.gamma)
+            for node in nodes:
+                if node.shards_mined:
+                    assert node.cache.index_keys() == [key]
+                assert not any(
+                    k.startswith("kernel-") for k in node.cache.keys()
+                )
         finally:
             stop.set()
             for node_thread in node_threads:
@@ -617,6 +627,18 @@ class TestFleetService:
             server.server_close()
             thread.join(timeout=5.0)
 
+    def test_lease_and_heartbeat_take_a_list_of_index_keys(self, tmp_path):
+        from repro.service.router import Request, ServiceRouter
+
+        router = ServiceRouter(MiningService(tmp_path / "store", fleet=True))
+        body = json.dumps({"node_id": "node-a", "indexes": "index-x"})
+        for path in ("/fleet/lease", "/fleet/heartbeat"):
+            response = router.handle(
+                Request("POST", path, body=body.encode())
+            )
+            assert response.status == 400
+            assert b"indexes must be a list" in response.body
+
     def test_artifact_endpoints_serve_by_digest(
         self, tmp_path, running_example, paper_params
     ):
@@ -632,15 +654,6 @@ class TestFleetService:
             assert raw == service.matrix_artifact_bytes(
                 record.matrix_digest
             )
-            # Kernel not built yet: 404 maps to None.
-            assert client.fetch_kernel(
-                record.matrix_digest, paper_params.gamma
-            ) is None
-            service.run_pending()
-            fetched = client.fetch_kernel(
-                record.matrix_digest, paper_params.gamma
-            )
-            assert fetched is not None
         finally:
             server.shutdown()
             server.server_close()

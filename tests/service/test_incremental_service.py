@@ -23,6 +23,7 @@ from repro.service.resilience import (
 )
 from repro.service.service import MiningService
 from tests.incremental.conftest import bimodal_matrix
+from tests.service.test_execution_paths import no_kernel  # noqa: F401
 
 PARAMS = MiningParameters(
     min_genes=2, min_conditions=2, gamma=0.6, epsilon=0.1
@@ -83,7 +84,7 @@ class TestRevisionJobs:
         # mining the child from scratch.
         assert done.reused_shards == list(range(matrix.n_conditions))
         assert done.revision_parent == parent.job_id
-        assert done.kernel_build == "delta"
+        assert done.index_build == "delta"
         assert done.progress["nodes_expanded"] == 0
         assert_bit_identical(
             service.result(record.job_id),
@@ -283,14 +284,14 @@ class TestRevisionJobs:
         )
         assert 'repro_incremental_shards_total{source="mined"} 0' in text
         assert (
-            'repro_incremental_kernel_builds_total{mode="delta"} 1'
+            'repro_incremental_index_builds_total{mode="delta"} 1'
             in text
         )
 
     def test_cold_revision_bootstraps_the_lineage(
         self, service, matrix, tmp_path
     ):
-        # A parent whose kernel left the cache (LRU eviction, or an
+        # A parent whose index left the cache (LRU eviction, or an
         # explicit drop) leaves nothing to delta-update.  Evict it: the
         # first revision must fall back to a cold build but *store* it,
         # so a chained second revision delta-updates.
@@ -299,9 +300,8 @@ class TestRevisionJobs:
         cache = service.cache
         parent_digest = matrix_digest(matrix)
         for key in list(cache.artifacts_for_digest(parent_digest)):
-            if "kernel" in key:
-                cache.drop_artifact(key)
-        assert cache.get_kernel(parent_digest, PARAMS.gamma) is None
+            cache.drop_artifact(key)
+        assert cache.get_index(parent_digest, PARAMS.gamma) is None
 
         first = AppendGenes(
             names=("gA",),
@@ -311,10 +311,10 @@ class TestRevisionJobs:
             parent_digest, first, PARAMS
         )
         done1 = run_done(service, rec1)
-        assert done1.kernel_build == "cold"
+        assert done1.index_build == "cold"
         # ... but the cold build was stored for the lineage:
         assert (
-            cache.get_kernel(rev1.child_digest, PARAMS.gamma) is not None
+            cache.get_index(rev1.child_digest, PARAMS.gamma) is not None
         )
 
         second = DropGenes(genes=(matrix.gene_names[1],))
@@ -322,7 +322,7 @@ class TestRevisionJobs:
             rev1.child_digest, second, PARAMS
         )
         done2 = run_done(service, rec2)
-        assert done2.kernel_build == "delta"
+        assert done2.index_build == "delta"
         assert_bit_identical(
             service.result(rec2.job_id),
             scratch_clusters(
@@ -333,7 +333,7 @@ class TestRevisionJobs:
 
 
 class TestPoolMinedParent:
-    """A job mined on a worker pool leaves its kernel in the cache."""
+    """A job mined on a worker pool leaves its index in the cache."""
 
     @pytest.fixture
     def pool_service(self, tmp_path):
@@ -345,13 +345,13 @@ class TestPoolMinedParent:
         run_done(pool_service, record)
         return record
 
-    def test_kernel_is_cached(self, pool_service, matrix, parent):
+    def test_index_is_cached(self, pool_service, matrix, parent):
         assert (
-            pool_service.cache.get_kernel(matrix_digest(matrix), PARAMS.gamma)
+            pool_service.cache.get_index(matrix_digest(matrix), PARAMS.gamma)
             is not None
         )
 
-    def test_revision_delta_updates_the_kernel(
+    def test_revision_delta_updates_the_index(
         self, pool_service, matrix, parent
     ):
         delta = AppendGenes(
@@ -361,17 +361,12 @@ class TestPoolMinedParent:
         __, record = pool_service.submit_revision(
             matrix_digest(matrix), delta, PARAMS
         )
-        assert run_done(pool_service, record).kernel_build == "delta"
-
-    def test_kernel_artifact_is_served(self, pool_service, matrix, parent):
-        raw = pool_service.kernel_artifact_bytes(
-            matrix_digest(matrix), PARAMS.gamma
-        )
-        assert raw is not None
+        assert run_done(pool_service, record).index_build == "delta"
 
 
 class TestSweeps:
-    def test_one_kernel_build_per_gamma(self, service, matrix):
+    @pytest.mark.usefixtures("no_kernel")
+    def test_one_index_build_per_gamma(self, service, matrix):
         batch = service.submit_sweep(
             matrix, PARAMS, gammas=[0.5, 0.7], epsilons=[0.05, 0.1]
         )
@@ -381,13 +376,13 @@ class TestSweeps:
         assert status["counts"] == {"done": 4}
         text = service.metrics.render()
         # Gamma-major submission order: the first point of each gamma
-        # builds the kernel cold, the remaining points hit the cache.
+        # builds the index cold, the remaining points hit the cache.
         assert (
-            'repro_incremental_kernel_builds_total{mode="cold"} 2'
+            'repro_incremental_index_builds_total{mode="cold"} 2'
             in text
         )
         assert (
-            'repro_incremental_kernel_builds_total{mode="cached"} 2'
+            'repro_incremental_index_builds_total{mode="cached"} 2'
             in text
         )
         assert "repro_incremental_sweeps_total 1" in text
@@ -465,7 +460,7 @@ class TestCacheLineage:
         # Evict every parent artifact; the children must still load.
         for key in cache.artifacts_for_digest(parent_digest):
             cache.drop_artifact(key)
-        assert cache.get_kernel(revision.child_digest, PARAMS.gamma) is not None
+        assert cache.get_index(revision.child_digest, PARAMS.gamma) is not None
 
 
 class TestIncrementalEndpoints:

@@ -106,6 +106,14 @@ class TestJobRecord:
         assert again == record
         assert again.state is JobState.SUBMITTED
 
+    def test_only_retired_keys_are_dropped(self, record):
+        payload = record.to_dict()
+        payload.update(kernel_cache_hit=True, kernel_build="cached")
+        assert JobRecord.from_dict(payload) == record
+        payload["no_such_field"] = 1
+        with pytest.raises(TypeError):
+            JobRecord.from_dict(payload)
+
     def test_state_serializes_as_plain_string(self, record):
         assert record.to_dict()["state"] == "submitted"
 

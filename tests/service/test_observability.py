@@ -260,8 +260,9 @@ class TestServiceTraceDir:
             service.stop()
         spans = load_spans(trace_dir / f"{record.job_id}.trace.jsonl")
         by_name = {s["name"] for s in spans}
-        assert {"job", "matrix.load", "index", "kernel", "mine",
+        assert {"job", "matrix.load", "index", "mine",
                 "result.persist"} <= by_name
+        assert "kernel" not in by_name
         (job,) = [s for s in spans if s["name"] == "job"]
         assert job["parent_id"] is None
         assert job["attributes"]["job_id"] == record.job_id

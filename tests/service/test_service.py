@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 
 from repro.core.miner import RegClusterMiner, mine_reg_clusters
 from repro.core.params import MiningParameters
+from repro.core.rwave import RWaveIndex
 from repro.datasets.synthetic import SyntheticConfig, make_synthetic_dataset
 from repro.core.serialize import result_to_dict
-from repro.service.jobs import JobState
+from repro.service.jobs import JobState, JobStore
 from repro.service import service as service_module
 from repro.service.service import MiningService
 
@@ -226,6 +228,61 @@ class TestRestart:
         assert second.run_pending() == 1
         assert second.status(record.job_id).state is JobState.DONE
 
+    def test_store_of_an_earlier_version_still_serves(
+        self, tmp_path, running_example, paper_params
+    ):
+        """Earlier versions built a regulation kernel for every job: each
+        record carries ``kernel_cache_hit`` / ``kernel_build`` and the
+        cache holds a ``kernel-...`` artifact.  Such a store still opens,
+        re-arms its running job and finishes it."""
+        store = tmp_path / "store"
+        writer = MiningService(store)
+        done = writer.submit(running_example, paper_params)
+        writer.run_pending()
+        running = writer.submit(
+            running_example, paper_params.with_overrides(epsilon=0.3)
+        )
+        writer.cache.put_kernel(
+            done.matrix_digest,
+            paper_params.gamma,
+            RWaveIndex(running_example, paper_params.gamma).kernel,
+        )
+        earlier = {
+            done.job_id: {"kernel_cache_hit": False, "kernel_build": "cold"},
+            running.job_id: {
+                "state": "running",
+                "started_at": running.submitted_at,
+                "index_cache_hit": True,
+                "kernel_cache_hit": True,
+                "kernel_build": "cached",
+            },
+        }
+        for job_id, fields in earlier.items():
+            path = store / "jobs" / f"{job_id}.json"
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            del payload["index_build"]
+            payload.update(fields)
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        jobs = JobStore(store / "jobs")
+        assert jobs.get(done.job_id).state is JobState.DONE
+        assert jobs.get(running.job_id).state is JobState.RUNNING
+        assert len(jobs.list_records()) == 2
+
+        restarted = MiningService(store)
+        assert restarted.run_pending() == 1
+        resumed = restarted.status(running.job_id)
+        assert resumed.state is JobState.DONE, resumed.error
+        assert resumed.index_build == "cached"
+        assert restarted.result(done.job_id)["clusters"]
+
+        from repro.service.router import Request, ServiceRouter
+
+        response = ServiceRouter(restarted).handle(Request(
+            "GET",
+            f"/artifacts/kernel/{done.matrix_digest}/{paper_params.gamma!r}",
+        ))
+        assert response.status == 404
+
     def test_background_thread_executes(self, tmp_path, running_example,
                                         paper_params):
         import time
@@ -258,28 +315,36 @@ class TestFailure:
 
 
 class TestKernelCache:
+    """The per-(matrix, gamma) artifact a job reuses is its RWave^gamma
+    index; earlier versions cached a regulation kernel beside it.  The
+    reuse and rebuild checks below read the index and assert that no
+    kernel is built or stored."""
+
     def test_second_submission_reuses_the_kernel(self, service,
                                                  running_example,
                                                  paper_params):
         first = service.submit(running_example, paper_params)
         service.run_pending()
         record = service.status(first.job_id)
-        assert record.kernel_cache_hit is False
-        assert service.cache.stats.kernel_stores == 1
+        assert record.index_cache_hit is False
+        assert record.index_build == "cold"
+        assert service.cache.stats.index_stores == 1
 
         # Same matrix and gamma, different epsilon: the result cache
-        # cannot answer (new job id) but the kernel artifact must.
+        # cannot answer (new job id) but the index artifact must.
         relaxed = paper_params.with_overrides(epsilon=0.3)
         second = service.submit(running_example, relaxed)
         assert second.job_id != first.job_id
         service.run_pending()
         done = service.status(second.job_id)
-        assert done.kernel_cache_hit is True
+        assert done.index_cache_hit is True
+        assert done.index_build == "cached"
         assert done.result_cache_hit is False
-        assert service.cache.stats.kernel_hits == 1
-        # The second job attached the cached kernel; nothing was rebuilt
-        # or re-stored.
-        assert service.cache.stats.kernel_stores == 1
+        assert service.cache.stats.index_hits == 1
+        # The second job mined from the cached index; nothing was
+        # rebuilt or re-stored.
+        assert service.cache.stats.index_stores == 1
+        assert service.cache.stats.kernel_stores == 0
 
     def test_different_gamma_rebuilds_kernel(self, service, running_example,
                                              paper_params):
@@ -289,8 +354,22 @@ class TestKernelCache:
             running_example, paper_params.with_overrides(gamma=0.3)
         )
         service.run_pending()
-        assert service.status(other.job_id).kernel_cache_hit is False
-        assert service.cache.stats.kernel_stores == 2
+        done = service.status(other.job_id)
+        assert done.index_cache_hit is False
+        assert done.index_build == "cold"
+        assert service.cache.stats.index_stores == 2
+        assert service.cache.stats.kernel_stores == 0
+
+    def test_jobs_store_no_kernel(self, service, running_example,
+                                  paper_params):
+        service.submit(running_example, paper_params)
+        service.run_pending()
+        stats = service.cache.stats
+        assert (stats.kernel_hits, stats.kernel_misses,
+                stats.kernel_stores) == (0, 0, 0)
+        assert not any(key.startswith("kernel-")
+                       for key in service.cache.keys())
+        assert "kernel" not in service.metrics.render()
 
     def test_completed_job_records_phase_timers(self, service,
                                                 running_example,
