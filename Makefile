@@ -38,7 +38,6 @@ bench-regression:
 	PYTHONPATH=src $(PYTHON) -m repro.bench.regression run --legacy --out BENCH_baseline.json
 	PYTHONPATH=src $(PYTHON) -m repro.bench.regression run --out BENCH_kernels.json
 	PYTHONPATH=src $(PYTHON) -m repro.bench.regression compare BENCH_kernels.json BENCH_baseline.json --tolerance 0.5
-	PYTHONPATH=src $(PYTHON) -m repro.bench.regression incremental --out BENCH_incremental.json
 
 examples:
 	@for script in examples/*.py; do \
@@ -79,9 +78,9 @@ LOAD_DURATION ?= 3
 load-smoke:
 	PYTHONPATH=src LOAD_CLIENTS=$(LOAD_CLIENTS) LOAD_DURATION=$(LOAD_DURATION) $(PYTHON) scripts/load_smoke.py
 
-# Delta-aware counterpart of serve-smoke: mine a base matrix, append
-# three in-range conditions, and require the revision job to reuse at
-# least the planner's clean-shard fraction while staying bit-identical
+# Delta-aware counterpart of serve-smoke: mine a base matrix, run an
+# append_genes revision (its index must be delta-updated) and an
+# append_conditions revision (a cold index build), each bit-identical
 # to a from-scratch mine — then a 2x2 sweep that must build exactly one
 # cold index per gamma (docs/incremental.md).
 incremental-smoke:

@@ -1,19 +1,18 @@
-"""Incremental-mining smoke test: evolve a matrix, reuse, stay exact.
+"""Incremental-mining smoke test: evolve a matrix, stay exact.
 
 The delta-aware counterpart of ``scripts/serve_smoke.py``
 (docs/incremental.md).  Three phases, each on a fresh store:
 
-1. **Revision reuse, end to end.**  Mine a base matrix, append three
-   in-range conditions (every Eq. 4 threshold stays float-identical),
-   and run the revision job.  The job must reuse at least as many
-   shards as the :class:`~repro.incremental.DirtyShardPlanner`
-   classifies clean (``JobRecord.reused_shards`` is the provenance),
-   must obtain its RWave^gamma index through the parent's instead of a
-   cold build (``index_build == "delta"``), and the counters in the
-   rendered metrics must agree.
-2. **Bit-identity.**  The stitched child result must have *exactly*
-   the clusters of mining the child from scratch in a pristine
-   service — reuse is an optimization, never an approximation.
+1. **Revision jobs, end to end.**  Mine a base matrix, then run two
+   revisions of it.  An ``append_genes`` revision must obtain its
+   RWave^gamma index by delta-updating the parent's
+   (``index_build == "delta"``, counted in the rendered metrics); an
+   ``append_conditions`` revision, whose update carries no gene row
+   over, must report a cold build (``index_build == "cold"``).
+2. **Bit-identity.**  Each revision job must return *exactly* the
+   clusters and search statistics of mining its child from scratch in
+   a pristine service — a revision job is an ordinary job on the child
+   matrix.
 3. **Sweep batching.**  A 2x2 gamma/epsilon sweep over the base
    matrix must build exactly one cold index per gamma (the other
    points hit the artifact cache), with every point finishing done.
@@ -33,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.params import MiningParameters
-from repro.incremental import AppendConditions, DirtyShardPlanner, apply_delta
+from repro.incremental import AppendConditions, AppendGenes, apply_delta
 from repro.matrix.expression import ExpressionMatrix
 from repro.matrix.summary import matrix_digest
 from repro.service.jobs import JobState
@@ -57,25 +56,22 @@ def _base_matrix() -> ExpressionMatrix:
     return ExpressionMatrix(values)
 
 
-def _in_range_delta(matrix: ExpressionMatrix) -> AppendConditions:
-    """Three new conditions strictly inside every gene's [min, max].
-
-    Keeping appended values in range keeps each gene's Eq. 4 threshold
-    ``gamma * (max - min)`` float-identical, which is what makes clean
-    shards possible at all.
-    """
+def _deltas(matrix: ExpressionMatrix):
+    """The two revisions, each with the index build it must report."""
     rng = np.random.default_rng(7)
     lo = matrix.values.min(axis=1)
     hi = matrix.values.max(axis=1)
-    # Near the midpoint every gap to an existing level is about half
-    # the range — well under the gamma=0.6 threshold — so the appended
-    # conditions gain no up-regulation edges and the old shards stay
-    # clean for the planner.
-    frac = rng.uniform(0.45, 0.55, size=(N_APPENDED, matrix.n_genes))
-    return AppendConditions(
-        names=tuple(f"appended{i}" for i in range(N_APPENDED)),
-        values=lo[None, :] + frac * (hi - lo)[None, :],
+    genes = AppendGenes(
+        names=tuple(f"new{i}" for i in range(N_APPENDED)),
+        values=rng.uniform(0.0, 8.0, size=(N_APPENDED, N_CONDITIONS)),
     )
+    conditions = AppendConditions(
+        names=tuple(f"appended{i}" for i in range(N_APPENDED)),
+        values=lo[None, :] + rng.uniform(
+            0.0, 1.0, size=(N_APPENDED, matrix.n_genes)
+        ) * (hi - lo)[None, :],
+    )
+    return (("delta", genes), ("cold", conditions))
 
 
 def _counter(metrics_text: str, needle: str) -> int:
@@ -94,79 +90,62 @@ def _run_done(service: MiningService, record):
     return done
 
 
-def _phase_revision_reuse(tmp: Path):
+def _phase_revisions(tmp: Path):
     matrix = _base_matrix()
-    delta = _in_range_delta(matrix)
-    child = apply_delta(matrix, delta)
-    plan = DirtyShardPlanner().plan(matrix, child, delta, PARAMS.gamma)
     print(
-        f"incremental: phase 1 — append {N_APPENDED} in-range conditions; "
-        f"planner says {len(plan.clean_shards)}/{plan.n_shards} shards clean"
+        f"incremental: phase 1 — append {N_APPENDED} genes, then "
+        f"{N_APPENDED} conditions, to a {N_GENES}x{N_CONDITIONS} matrix"
     )
     service = MiningService(tmp / "store", n_workers=1)
     parent = service.submit(matrix, PARAMS)
     _run_done(service, parent)
-    revision, record = service.submit_revision(
-        matrix_digest(matrix), delta, PARAMS
-    )
-    done = _run_done(service, record)
-    reused = done.reused_shards or []
-    if len(reused) < len(plan.clean_shards):
-        print(
-            f"incremental: FAIL — reused {len(reused)} shards but the "
-            f"planner found {len(plan.clean_shards)} clean"
+    revised = []
+    for expected, delta in _deltas(matrix):
+        __, record = service.submit_revision(
+            matrix_digest(matrix), delta, PARAMS
         )
-        return None
-    if done.index_build != "delta":
-        print(
-            "incremental: FAIL — expected a delta index build, got "
-            f"{done.index_build!r}"
-        )
-        return None
-    if done.revision_parent != parent.job_id:
-        print(
-            "incremental: FAIL — revision_parent is "
-            f"{done.revision_parent!r}, expected {parent.job_id!r}"
-        )
-        return None
-    metrics = service.metrics.render()
-    reused_counted = _counter(
-        metrics, 'repro_incremental_shards_total{source="reused"}'
-    )
+        done = _run_done(service, record)
+        if done.index_build != expected:
+            print(
+                f"incremental: FAIL — {delta.kind} revision: expected a "
+                f"{expected} index build, got {done.index_build!r}"
+            )
+            return None
+        print(f"incremental: {delta.kind} revision built its index {expected}")
+        revised.append((delta.kind, record, apply_delta(matrix, delta)))
     delta_builds = _counter(
-        metrics, 'repro_incremental_index_builds_total{mode="delta"}'
+        service.metrics.render(),
+        'repro_incremental_index_builds_total{mode="delta"}',
     )
-    if reused_counted != len(reused) or delta_builds < 1:
+    if delta_builds < 1:
         print(
-            "incremental: FAIL — metrics disagree with the record "
-            f"(reused {reused_counted} vs {len(reused)}, "
-            f"delta builds {delta_builds})"
+            "incremental: FAIL — metrics count no delta index build "
+            f"(mode=\"delta\" is {delta_builds})"
         )
         return None
-    print(
-        f"incremental: reused {len(reused)}/{plan.n_shards} shards, "
-        f"index delta-updated (metrics agree)"
-    )
-    return service, record, child
+    print(f"incremental: metrics count {delta_builds} delta index build(s)")
+    return service, revised
 
 
-def _phase_bit_identity(tmp: Path, service, record, child) -> int:
-    print("incremental: phase 2 — diff the stitched child vs scratch")
-    stitched = service.result(record.job_id)
+def _phase_bit_identity(tmp: Path, service, revised) -> int:
+    print("incremental: phase 2 — diff each revision job vs scratch")
     scratch_service = MiningService(tmp / "scratch", n_workers=1)
-    scratch_record = scratch_service.submit(child, PARAMS)
-    _run_done(scratch_service, scratch_record)
-    scratch = scratch_service.result(scratch_record.job_id)
-    if stitched["clusters"] != scratch["clusters"]:
+    for kind, record, child in revised:
+        mined = service.result(record.job_id)
+        scratch_record = scratch_service.submit(child, PARAMS)
+        _run_done(scratch_service, scratch_record)
+        scratch = scratch_service.result(scratch_record.job_id)
+        for part in ("clusters", "statistics"):
+            if mined[part] != scratch[part]:
+                print(
+                    f"incremental: FAIL — {kind} revision {part} differ "
+                    "from mining the child from scratch"
+                )
+                return 1
         print(
-            "incremental: FAIL — stitched clusters differ from mining "
-            "the child from scratch"
+            f"incremental: {kind} revision: {len(mined['clusters'])} "
+            "clusters and statistics bit-identical to the from-scratch mine"
         )
-        return 1
-    print(
-        f"incremental: {len(stitched['clusters'])} clusters bit-identical "
-        "to the from-scratch mine"
-    )
     return 0
 
 
@@ -204,11 +183,11 @@ def _phase_sweep(tmp: Path) -> int:
 def main() -> int:
     with tempfile.TemporaryDirectory() as raw:
         tmp = Path(raw)
-        staged = _phase_revision_reuse(tmp)
+        staged = _phase_revisions(tmp)
         if staged is None:
             return 1
-        service, record, child = staged
-        if _phase_bit_identity(tmp, service, record, child) != 0:
+        service, revised = staged
+        if _phase_bit_identity(tmp, service, revised) != 0:
             return 1
         if _phase_sweep(tmp) != 0:
             return 1

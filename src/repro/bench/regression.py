@@ -64,26 +64,17 @@ from repro.matrix.expression import ExpressionMatrix
 
 __all__ = [
     "BenchCase",
-    "IncrementalCase",
     "SMOKE_CASES",
     "FULL_CASES",
-    "INCREMENTAL_SMOKE_CASES",
-    "INCREMENTAL_FULL_CASES",
     "suite_cases",
-    "incremental_cases",
     "run_case",
     "run_suite",
-    "run_incremental_case",
-    "run_incremental_suite",
     "compare_snapshots",
     "main",
 ]
 
 #: Snapshot schema identifier (bump on incompatible payload changes).
 SNAPSHOT_SCHEMA = "bench-regression/v1"
-
-#: Schema for incremental (revision-vs-scratch) snapshots.
-INCREMENTAL_SCHEMA = "bench-incremental/v1"
 
 
 @dataclass(frozen=True)
@@ -255,168 +246,6 @@ def run_suite(
 
 
 # ----------------------------------------------------------------------
-# Incremental scenario: revision reuse vs mining the child from scratch
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IncrementalCase:
-    """One pinned evolve workload: a parent matrix plus an append delta.
-
-    The parent is a fixed-seed two-level matrix; the delta appends
-    ``n_appended`` conditions whose values sit strictly inside each
-    gene's [min, max] (so Eq. 4 thresholds are float-identical and the
-    :class:`~repro.incremental.DirtyShardPlanner` can keep old shards
-    clean).  The measurement compares running the *revision job*
-    (delta index update + stitch + mine dirty shards) against mining
-    the child matrix from scratch in a pristine service.
-    """
-
-    name: str
-    n_genes: int
-    n_conditions: int
-    n_appended: int
-    seed: int
-    repeats: int = 3
-
-
-INCREMENTAL_SMOKE_CASES: Tuple[IncrementalCase, ...] = (
-    IncrementalCase("evolve-append3-small", 12, 10, 3, seed=2006),
-)
-
-INCREMENTAL_FULL_CASES: Tuple[IncrementalCase, ...] = (
-    INCREMENTAL_SMOKE_CASES
-    + (IncrementalCase("evolve-append3-medium", 30, 12, 3, seed=2007),)
-)
-
-
-def incremental_cases(scale: str) -> Tuple[IncrementalCase, ...]:
-    """The incremental case tuple for a scale name."""
-    if scale == "smoke":
-        return INCREMENTAL_SMOKE_CASES
-    if scale == "full":
-        return INCREMENTAL_FULL_CASES
-    raise ValueError(f"scale must be 'smoke' or 'full', got {scale!r}")
-
-
-def _two_level_matrix(
-    n_genes: int, n_conditions: int, seed: int
-) -> ExpressionMatrix:
-    rng = np.random.default_rng(seed)
-    low = rng.uniform(0.0, 2.0, size=(n_genes, 1))
-    high = low + rng.uniform(3.0, 6.0, size=(n_genes, 1))
-    choice = rng.choice([0.0, 1.0], size=(n_genes, n_conditions))
-    return ExpressionMatrix(low + choice * (high - low))
-
-
-def _in_range_append(matrix: ExpressionMatrix, n_appended: int, seed: int):
-    from repro.incremental import AppendConditions
-
-    rng = np.random.default_rng(seed)
-    lo = matrix.values.min(axis=1)
-    hi = matrix.values.max(axis=1)
-    # Near-midpoint values: every gap to an existing level stays under
-    # the gamma=0.6 threshold, so old shards can classify clean.
-    frac = rng.uniform(0.45, 0.55, size=(n_appended, matrix.n_genes))
-    return AppendConditions(
-        names=tuple(f"appended{i}" for i in range(n_appended)),
-        values=lo[None, :] + frac * (hi - lo)[None, :],
-    )
-
-
-def run_incremental_case(case: IncrementalCase) -> Dict[str, Any]:
-    """Measure one evolve workload: revision job vs scratch child mine.
-
-    Both sides run through :class:`~repro.service.MiningService` on a
-    throwaway store, so the comparison includes the real job path
-    (persistence, planning, kernel delta-update, stitching) — not just
-    the raw search.  The parent mine is outside the timed region; the
-    minimum over repeats is reported for both sides.
-    """
-    import shutil
-    import tempfile
-
-    from repro.incremental import apply_delta
-    from repro.matrix.summary import matrix_digest
-    from repro.service.jobs import JobState
-    from repro.service.service import MiningService
-
-    params = MiningParameters(
-        min_genes=2, min_conditions=2, gamma=0.6, epsilon=0.1
-    )
-    parent = _two_level_matrix(case.n_genes, case.n_conditions, case.seed)
-    delta = _in_range_append(parent, case.n_appended, case.seed + 1)
-    child = apply_delta(parent, delta)
-    scratch_timings: List[float] = []
-    revision_timings: List[float] = []
-    reused = 0
-    for __ in range(max(case.repeats, 1)):
-        root = Path(tempfile.mkdtemp(prefix="bench-incremental-"))
-        try:
-            scratch = MiningService(root / "scratch", n_workers=1)
-            start = time.perf_counter()
-            scratch_record = scratch.submit(child, params)
-            scratch.run_pending()
-            scratch_timings.append(time.perf_counter() - start)
-            if scratch.status(scratch_record.job_id).state is not (
-                JobState.DONE
-            ):
-                raise RuntimeError(f"{case.name}: scratch mine failed")
-
-            service = MiningService(root / "store", n_workers=1)
-            base = service.submit(parent, params)
-            service.run_pending()
-            if service.status(base.job_id).state is not JobState.DONE:
-                raise RuntimeError(f"{case.name}: parent mine failed")
-            start = time.perf_counter()
-            __, record = service.submit_revision(
-                matrix_digest(parent), delta, params
-            )
-            service.run_pending()
-            revision_timings.append(time.perf_counter() - start)
-            done = service.status(record.job_id)
-            if done.state is not JobState.DONE:
-                raise RuntimeError(f"{case.name}: revision job failed")
-            reused = len(done.reused_shards or [])
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-    revision_wall = min(revision_timings)
-    scratch_wall = min(scratch_timings)
-    return {
-        "case": case.name,
-        "n_genes": case.n_genes,
-        "n_conditions": case.n_conditions,
-        "n_appended": case.n_appended,
-        "repeats": len(revision_timings),
-        # ``wall_seconds`` is the revision side so the stock
-        # ``compare`` subcommand can gate incremental snapshots too.
-        "wall_seconds": revision_wall,
-        "scratch_seconds": scratch_wall,
-        "speedup": (
-            scratch_wall / revision_wall if revision_wall > 0 else 0.0
-        ),
-        "reused_shards": reused,
-        "n_shards": case.n_conditions + case.n_appended,
-        "peak_rss_kb": _peak_rss_kb(),
-    }
-
-
-def run_incremental_suite(*, scale: str = "full") -> Dict[str, Any]:
-    """Run the pinned incremental suite into one snapshot payload."""
-    measured = [
-        run_incremental_case(case) for case in incremental_cases(scale)
-    ]
-    return {
-        "schema": INCREMENTAL_SCHEMA,
-        "revision": _git_revision(),
-        "scale": scale,
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "cases": measured,
-    }
-
-
-# ----------------------------------------------------------------------
 # Compare
 # ----------------------------------------------------------------------
 
@@ -522,39 +351,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_incremental(args: argparse.Namespace) -> int:
-    snapshot = run_incremental_suite(scale=args.scale)
-    text = json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    slow: List[str] = []
-    for entry in snapshot["cases"]:
-        print(
-            f"{entry['case']:<24} revision {entry['wall_seconds']:.4f}s  "
-            f"scratch {entry['scratch_seconds']:.4f}s  "
-            f"({entry['speedup']:.2f}x, reused "
-            f"{entry['reused_shards']}/{entry['n_shards']} shards)"
-        )
-        ceiling = entry["scratch_seconds"] * (1.0 + args.tolerance)
-        if entry["wall_seconds"] > ceiling:
-            slow.append(
-                f"{entry['case']}: revision {entry['wall_seconds']:.4f}s "
-                f"exceeds scratch {entry['scratch_seconds']:.4f}s "
-                f"beyond tolerance {1.0 + args.tolerance:.2f}x"
-            )
-        if entry["reused_shards"] == 0:
-            slow.append(f"{entry['case']}: revision job reused no shards")
-    if slow:
-        print()
-        for line in slow:
-            print(f"regression: {line}", file=sys.stderr)
-        return 1
-    print("\nincremental path within tolerance "
-          f"{1.0 + args.tolerance:.2f}x of scratch, with shard reuse")
-    return 0
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     current = json.loads(Path(args.current).read_text(encoding="utf-8"))
     baseline = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
@@ -597,30 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, help="write the snapshot JSON here"
     )
     run_p.set_defaults(func=_cmd_run)
-
-    inc_p = sub.add_parser(
-        "incremental",
-        help="measure revision (delta-reuse) jobs vs from-scratch "
-        "mining and gate the ratio",
-    )
-    inc_p.add_argument(
-        "--scale",
-        choices=("smoke", "full"),
-        default="full",
-        help="smoke = tiny CI case; full = committed-snapshot suite",
-    )
-    inc_p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.5,
-        help="fractional allowed slowdown of the revision job over the "
-        "scratch mine (default %(default)s; reuse usually wins, the "
-        "band absorbs service overhead on tiny cases)",
-    )
-    inc_p.add_argument(
-        "--out", default=None, help="write the snapshot JSON here"
-    )
-    inc_p.set_defaults(func=_cmd_incremental)
 
     cmp_p = sub.add_parser(
         "compare", help="gate a snapshot against a baseline"

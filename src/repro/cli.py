@@ -29,8 +29,8 @@ Subcommands
     Submit a matrix to a running daemon (optionally wait for the result).
 ``evolve``
     Evolve a stored matrix on a running daemon by one typed delta
-    (append conditions/genes, drop genes) and mine the child
-    incrementally (docs/incremental.md).
+    (append conditions/genes, drop genes) and mine the child, its
+    index delta-updated from the parent's (docs/incremental.md).
 ``status``
     Query a job on a running daemon.
 ``trace``
@@ -343,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     evolve = sub.add_parser(
         "evolve",
-        help="evolve a stored matrix by one delta and mine the child "
-        "incrementally (docs/incremental.md)",
+        help="evolve a stored matrix by one delta and mine the child, "
+        "delta-updating the parent's index (docs/incremental.md)",
     )
     evolve.add_argument(
         "parent_digest",
@@ -863,14 +863,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             if record.get("error"):
                 print(f"error: {record['error']}", file=sys.stderr)
             return 1
-        reused = record.get("reused_shards") or []
-        print(
-            f"reused {len(reused)} shard(s) from parent job "
-            f"{record.get('revision_parent')}"
-            if reused
-            else "no shards reused (delta dirtied every shard, or the "
-            "parent job was unavailable)"
-        )
+        print(f"index build: {record.get('index_build')}")
     except ServiceError as error:
         print(f"error: {error.message}", file=sys.stderr)
         return 2
@@ -896,9 +889,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
     for key in ("job_id", "state", "priority", "tenant", "matrix_digest",
                 "submitted_at", "started_at", "finished_at", "error",
                 "index_cache_hit", "result_cache_hit",
-                "missing_shards", "resumed_shards", "reused_shards",
-                "shard_failures", "revision_parent", "index_build",
-                "sweep_id"):
+                "missing_shards", "resumed_shards", "shard_failures",
+                "index_build", "sweep_id"):
         value = record.get(key)
         if value is not None:
             print(f"{key}: {value}")
@@ -908,27 +900,14 @@ def _cmd_status(args: argparse.Namespace) -> int:
         print(f"phase.{key}: {seconds:.3f}s")
     print(f"parameters: {record.get('parameters')}")
     if args.stats:
-        # Incremental reuse breakdown (docs/incremental.md): how many
-        # shards were stitched from the parent job vs actually mined,
-        # and whether the index came from cache, a delta update, or a
-        # cold build.
-        reused = record.get("reused_shards") or []
-        provenance = record.get("shard_provenance") or {}
-        if record.get("revision_parent") or reused:
-            mined = sum(
-                1
-                for info in provenance.values()
-                if info.get("node") not in (None, "parent")
-            )
-            print(f"reuse.shards_reused: {len(reused)}")
-            print(f"reuse.shards_mined: {mined}")
-            print(f"reuse.parent_job: {record.get('revision_parent')}")
+        # Whether the index came from cache, a delta update of the
+        # parent's (docs/incremental.md), or a cold build.
         if record.get("index_build") is not None:
             print(f"reuse.index_build: {record['index_build']}")
-        # Per-shard provenance: which node (or "local"/"checkpoint"/
-        # "parent") mined each shard, and in how many attempts —
-        # populated for fleet and non-fleet jobs alike
-        # (docs/distributed.md).
+        # Per-shard provenance: which node (or "local"/"checkpoint")
+        # mined each shard, and in how many attempts — populated for
+        # fleet and non-fleet jobs alike (docs/distributed.md).
+        provenance = record.get("shard_provenance") or {}
         for shard, info in sorted(
             provenance.items(), key=lambda item: int(item[0])
         ):

@@ -13,14 +13,14 @@ reusable, delta-updatable artifact instead of a from-scratch job:
   (:mod:`repro.incremental.update`, which also keeps the benchmark's
   packed-bit kernel update);
 * the :class:`DirtyShardPlanner`, which maps a delta to the shards
-  whose mining inputs actually changed, so a revision job re-mines
-  only dirty shards and stitches the rest from its parent
-  (:mod:`repro.incremental.planner`);
+  whose mining inputs actually changed (:mod:`repro.incremental.planner`;
+  kept for the benchmark's layer replay — a revision job mines every
+  shard);
 * batched gamma/epsilon parameter sweeps that build each (matrix,
   gamma) index once (:mod:`repro.incremental.sweep`).
 
-See ``docs/incremental.md`` for the lineage model, the shard-reuse
-soundness argument, and the sweep API.
+See ``docs/incremental.md`` for the lineage model, what a revision job
+does, and the sweep API.
 """
 
 from repro.incremental.delta import (
@@ -34,6 +34,7 @@ from repro.incremental.delta import (
     delta_to_dict,
 )
 from repro.incremental.lineage import RevisionStore
+# Kept for perfbench/layers.py (DirtyShardPlanner); no job path plans.
 from repro.incremental.planner import DirtyShardPlanner, RevisionPlan
 from repro.incremental.sweep import (
     MAX_SWEEP_POINTS,

@@ -5,8 +5,9 @@ exactly one recorded parent (its digest pins the full content, so two
 different deltas reaching the same child are equivalent by
 construction), while a parent may have many children.  Stored beside
 the service's other content-addressed artifacts; a restarted daemon
-sees every revision it ever accepted and can chain reuse across
-generations (grandchild jobs reuse from child jobs, and so on).
+sees every revision it ever accepted, so index delta updates chain
+across generations (a grandchild's index is updated from its child's,
+and so on).
 """
 
 # The store's lock serializes revision-file I/O against concurrent

@@ -39,6 +39,8 @@ values (chunked over genes) rather than from any cached kernel, so a
 plan never depends on artifact-cache state.
 """
 
+# Kept for perfbench/layers.py, which times a plan; no job plans or stitches.
+
 from __future__ import annotations
 
 from dataclasses import dataclass

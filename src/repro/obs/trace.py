@@ -389,8 +389,6 @@ def load_spans(path: Union[str, Path]) -> List[Dict[str, Any]]:
 
 
 _PHASES = ("candidates", "windows", "emit")
-#: span name -> per-shard table status of shards answered without mining
-_RESTORED_SHARDS = {"shard.resumed": "resumed", "shard.reused": "reused"}
 
 
 def _format_seconds(value: float) -> str:
@@ -416,11 +414,10 @@ def _summarize_one(spans: Sequence[Mapping[str, Any]]) -> str:
         )
 
     shard_spans = [s for s in spans if s.get("name") == "shard"]
-    # Shards answered without mining: this job's checkpoints and shards
-    # stitched from a revision's parent.
-    restored = [s for s in spans if s.get("name") in _RESTORED_SHARDS]
+    # Shards answered from this job's checkpoints instead of mining.
+    resumed = [s for s in spans if s.get("name") == "shard.resumed"]
     phase_totals = {phase: 0.0 for phase in _PHASES}
-    for span in shard_spans + restored:
+    for span in shard_spans + resumed:
         attrs = span.get("attributes", {})
         if not isinstance(attrs, dict):
             continue
@@ -452,7 +449,7 @@ def _summarize_one(spans: Sequence[Mapping[str, Any]]) -> str:
             row["ok"] = True
             row["nodes"] = int(attrs.get("nodes_expanded", 0))
             row["clusters"] = int(attrs.get("clusters_emitted", 0))
-    for span in restored:
+    for span in resumed:
         attrs = span.get("attributes", {})
         if not isinstance(attrs, dict) or "shard" not in attrs:
             continue
@@ -463,7 +460,7 @@ def _summarize_one(spans: Sequence[Mapping[str, Any]]) -> str:
             "wall": 0.0,
             "nodes": int(attrs.get("nodes_expanded", 0)),
             "clusters": int(attrs.get("clusters_emitted", 0)),
-            "status": _RESTORED_SHARDS[str(span.get("name"))],
+            "status": "resumed",
         }
     if per_shard:
         lines.append(
@@ -481,7 +478,7 @@ def _summarize_one(spans: Sequence[Mapping[str, Any]]) -> str:
 
     other = [
         s for s in spans
-        if s.get("name") != "shard" and s.get("name") not in _RESTORED_SHARDS
+        if s.get("name") not in ("shard", "shard.resumed")
         and s.get("parent_id") is not None
     ]
     for span in other:

@@ -40,11 +40,10 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.kernels import RegulationKernel
 from repro.core.rwave import RWaveIndex
@@ -61,10 +60,10 @@ __all__ = [
     "index_cache_key",
 ]
 
-#: A revised matrix's ``(parent_digest, parent_matrix, delta)`` — what
+#: A revised matrix's ``(parent_digest, delta)`` — what
 #: :meth:`ArtifactCache.resolve` needs to delta-update the parent's
-#: index instead of building cold.
-Lineage = Tuple[str, ExpressionMatrix, MatrixDelta]
+#: cached index instead of building cold.
+Lineage = Tuple[str, MatrixDelta]
 
 #: Default size bound: an index pickles to about three times its
 #: matrix's float bytes (about 8 MB at 8000x40, 1.2 MB for the 2884x17
@@ -108,32 +107,18 @@ class _ManifestEntry:
     file: str
     size: int
     last_used: int = 0
-    #: the parent matrix digest a delta-updated artifact was derived
-    #: from (``None`` for cold-built artifacts) — lineage provenance,
-    #: surfaced through :meth:`ArtifactCache.derived_from`
-    parent_digest: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
+        return {
             "file": self.file,
             "size": self.size,
             "last_used": self.last_used,
         }
-        if self.parent_digest is not None:
-            payload["parent_digest"] = self.parent_digest
-        return payload
 
 
-#: Index/kernel keys embed the matrix digest; results do not.
-_ARTIFACT_KEY = re.compile(r"^(?:index|kernel)-([0-9a-f]{64})-gamma-")
 #: The class a pickled artifact of each kind must unpickle to (the
 #: kernel entry serves get_kernel, kept below).
 _ARTIFACT_TYPES = {"index": RWaveIndex, "kernel": RegulationKernel}
-
-
-def _key_digest(key: str) -> Optional[str]:
-    match = _ARTIFACT_KEY.match(key)
-    return match.group(1) if match else None
 
 
 def _artifact_key(kind: str, matrix_digest: str, gamma: float) -> str:
@@ -192,17 +177,7 @@ class ArtifactCache:
         self._lock = threading.RLock()
         self._clock = 0
         self._manifest: Dict[str, _ManifestEntry] = {}
-        #: secondary indexes over the manifest — matrix digest -> keys
-        #: of its index/kernel artifacts, and parent digest -> keys of
-        #: artifacts delta-derived from it.  Maintained on every
-        #: insert/evict/drop so lineage lookups never scan the manifest.
-        self._by_digest: Dict[str, Set[str]] = {}
-        self._by_parent: Dict[str, Set[str]] = {}
-        # Construction is single-threaded, but the index helpers are
-        # shared with locked paths — hold the (reentrant) lock so every
-        # mutation of the secondary indexes is under it.
-        with self._lock:
-            self._load_manifest()
+        self._load_manifest()
 
     # ------------------------------------------------------------------
     # Manifest persistence
@@ -217,16 +192,15 @@ class ArtifactCache:
             payload = json.loads(self._manifest_path.read_text("utf-8"))
         except (FileNotFoundError, json.JSONDecodeError):
             return
+        # Any other entry field (``parent_digest``, written by earlier
+        # versions) is ignored.
         for key, entry in payload.get("entries", {}).items():
             if (self.root / entry["file"]).exists():
-                parent = entry.get("parent_digest")
                 self._manifest[key] = _ManifestEntry(
                     file=entry["file"],
                     size=int(entry["size"]),
                     last_used=int(entry.get("last_used", 0)),
-                    parent_digest=None if parent is None else str(parent),
                 )
-                self._index_entry(key)
         if self._manifest:
             self._clock = max(e.last_used for e in self._manifest.values())
 
@@ -239,58 +213,6 @@ class ArtifactCache:
         tmp = self._manifest_path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
         os.replace(tmp, self._manifest_path)
-
-    # ------------------------------------------------------------------
-    # Secondary indexes (matrix digest / parent digest -> keys)
-    # ------------------------------------------------------------------
-
-    def _index_entry(self, key: str) -> None:
-        """Register one manifest entry in the digest/parent indexes."""
-        digest = _key_digest(key)
-        if digest is not None:
-            self._by_digest.setdefault(digest, set()).add(key)
-        parent = self._manifest[key].parent_digest
-        if parent is not None:
-            self._by_parent.setdefault(parent, set()).add(key)
-
-    def _unindex_entry(self, key: str, entry: _ManifestEntry) -> None:
-        """Drop one (removed) manifest entry from the secondary indexes."""
-        digest = _key_digest(key)
-        if digest is not None:
-            bucket = self._by_digest.get(digest)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._by_digest[digest]
-        if entry.parent_digest is not None:
-            bucket = self._by_parent.get(entry.parent_digest)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._by_parent[entry.parent_digest]
-
-    def _forget(self, key: str) -> Optional[_ManifestEntry]:
-        """Remove one key from manifest + indexes (file left to caller)."""
-        entry = self._manifest.pop(key, None)
-        if entry is not None:
-            self._unindex_entry(key, entry)
-        return entry
-
-    def artifacts_for_digest(self, matrix_digest: str) -> List[str]:
-        """Cached index/kernel keys of one matrix (no manifest scan)."""
-        with self._lock:
-            return sorted(self._by_digest.get(matrix_digest, ()))
-
-    def derived_from(self, parent_digest: str) -> List[str]:
-        """Keys of artifacts delta-derived from ``parent_digest``.
-
-        Children are self-contained: the parent artifact is only an
-        input at *build* time, so evicting a parent never invalidates
-        the artifacts derived from it — this lookup exists for
-        provenance and cache-warming decisions, not liveness.
-        """
-        with self._lock:
-            return sorted(self._by_parent.get(parent_digest, ()))
 
     # ------------------------------------------------------------------
     # LRU core
@@ -325,23 +247,14 @@ class ArtifactCache:
             if not victims:
                 break
             victim = min(victims, key=lambda k: self._manifest[k].last_used)
-            entry = self._forget(victim)
-            if entry is None:
-                continue
+            entry = self._manifest.pop(victim)
             try:
                 (self.root / entry.file).unlink()
             except FileNotFoundError:
                 pass
             self.stats.evictions += 1
 
-    def _store(
-        self,
-        key: str,
-        filename: str,
-        data: bytes,
-        *,
-        parent_digest: Optional[str] = None,
-    ) -> None:
+    def _store(self, key: str, filename: str, data: bytes) -> None:
         if self.fault_plan is not None and self.fault_plan.fire(
             FaultKind.CACHE_WRITE_FAIL
         ):
@@ -355,11 +268,7 @@ class ArtifactCache:
             tmp = path.with_suffix(path.suffix + ".tmp")
             tmp.write_bytes(data)
             os.replace(tmp, path)
-            self._forget(key)
-            self._manifest[key] = _ManifestEntry(
-                file=filename, size=len(data), parent_digest=parent_digest
-            )
-            self._index_entry(key)
+            self._manifest[key] = _ManifestEntry(file=filename, size=len(data))
             self._touch(key)
             self._evict_for(key)
             self._save_manifest()
@@ -372,7 +281,7 @@ class ArtifactCache:
             try:
                 data = (self.root / entry.file).read_bytes()
             except FileNotFoundError:
-                self._forget(key)
+                self._manifest.pop(key, None)
                 self._save_manifest()
                 return None
             self._touch(key)
@@ -400,7 +309,7 @@ class ArtifactCache:
                     ImportError):
                 # A corrupt or stale artifact is a miss, not an error.
                 with self._lock:
-                    self._forget(key)
+                    self._manifest.pop(key, None)
                     self._save_manifest()
         if not isinstance(artifact, _ARTIFACT_TYPES[kind]):
             self._bump(f"{kind}_misses")
@@ -414,11 +323,10 @@ class ArtifactCache:
         matrix_digest: str,
         gamma: float,
         artifact: Any,
-        parent_digest: Optional[str],
     ) -> None:
         key = _artifact_key(kind, matrix_digest, gamma)
         data = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
-        self._store(key, f"{key}.pkl", data, parent_digest=parent_digest)
+        self._store(key, f"{key}.pkl", data)
         self._bump(f"{kind}_stores")
 
     def get_index(
@@ -431,19 +339,10 @@ class ArtifactCache:
         return index
 
     def put_index(
-        self,
-        matrix_digest: str,
-        gamma: float,
-        index: RWaveIndex,
-        *,
-        parent_digest: Optional[str] = None,
+        self, matrix_digest: str, gamma: float, index: RWaveIndex
     ) -> None:
-        """Memoize a built index under (digest, gamma).
-
-        ``parent_digest`` records lineage when the index was
-        delta-updated from another matrix's index (docs/incremental.md).
-        """
-        self._put_pickled("index", matrix_digest, gamma, index, parent_digest)
+        """Memoize a built index under (digest, gamma)."""
+        self._put_pickled("index", matrix_digest, gamma, index)
 
     # Kept for perfbench/layers.py, which times a kernel round trip; no
     # job path stores or loads a kernel.
@@ -458,21 +357,10 @@ class ArtifactCache:
 
     # Kept for perfbench/layers.py, like get_kernel.
     def put_kernel(
-        self,
-        matrix_digest: str,
-        gamma: float,
-        kernel: RegulationKernel,
-        *,
-        parent_digest: Optional[str] = None,
+        self, matrix_digest: str, gamma: float, kernel: RegulationKernel
     ) -> None:
-        """Memoize a built kernel under (digest, gamma).
-
-        ``parent_digest`` records lineage when the kernel was
-        delta-updated from another matrix's kernel (docs/incremental.md).
-        """
-        self._put_pickled(
-            "kernel", matrix_digest, gamma, kernel, parent_digest
-        )
+        """Memoize a built kernel under (digest, gamma)."""
+        self._put_pickled("kernel", matrix_digest, gamma, kernel)
 
     def resolve(
         self,
@@ -486,35 +374,35 @@ class ArtifactCache:
         be obtained.
 
         Tries a cache hit, then — when ``lineage`` names the matrix's
-        ``(parent_digest, parent_matrix, delta)`` — a delta update of
-        the parent's cached index (docs/incremental.md), then a cold
-        build.  Whatever was built is stored, tagged with its parent
-        digest when delta-updated; the store is best-effort, so a
-        failed write (e.g. a full disk) still returns the index.
+        ``(parent_digest, delta)`` — a delta update of the parent's
+        cached index (docs/incremental.md), then a cold build.  Whatever
+        was built is stored; the store is best-effort, so a failed write
+        (e.g. a full disk) still returns the index.
 
         Returns ``(index, build)``, ``build`` being ``"cached"``,
-        ``"delta"`` or ``"cold"``.
+        ``"delta"`` (the update carried gene rows over from the parent)
+        or ``"cold"`` (every row computed fresh, including an
+        ``append_conditions`` update, which rebuilds the index).
         """
         index = self.get_index(matrix_digest, gamma)
         if index is not None:
             return index, "cached"
-        parent_digest: Optional[str] = None
+        build = "cold"
         if lineage is not None:
-            parent_digest, __, delta = lineage
+            parent_digest, delta = lineage
             parent = self.get_index(parent_digest, gamma)
             try:
                 if parent is not None:
-                    index = update_index(parent, matrix, delta).index
+                    update = update_index(parent, matrix, delta)
+                    index = update.index
+                    if update.reused_models:
+                        build = "delta"
             except (TypeError, ValueError):
                 pass  # the parent does not fit the lineage: build cold
-        build = "delta" if index is not None else "cold"
         if index is None:
-            parent_digest = None
             index = RWaveIndex(matrix, gamma)
         try:
-            self.put_index(
-                matrix_digest, gamma, index, parent_digest=parent_digest
-            )
+            self.put_index(matrix_digest, gamma, index)
         except OSError:
             pass  # best-effort: the in-memory index still serves
         return index, build
@@ -564,12 +452,12 @@ class ArtifactCache:
         """Evict one artifact by cache key (no-op when absent).
 
         Safe on any key — including a parent whose delta-derived
-        children are still cached: children are self-contained
-        (:meth:`derived_from`), so dropping the parent only costs the
-        next revision a cold build, never correctness.
+        children are still cached: a child index is self-contained, so
+        dropping the parent only costs the next revision a cold build,
+        never correctness.
         """
         with self._lock:
-            entry = self._forget(key)
+            entry = self._manifest.pop(key, None)
             if entry is not None:
                 try:
                     (self.root / entry.file).unlink()

@@ -210,10 +210,6 @@ class ShardedOutcome:
     resumed_shards:
         Start conditions answered from the caller-provided ``completed``
         checkpoints instead of being mined, ascending.
-    reused_shards:
-        The ``completed`` shards handed in with a ``completed_origin``
-        (e.g. stitched from a revision's parent job), ascending; they
-        are not in ``resumed_shards``.
     fault_injections:
         Injected faults observed by the driver, counted per
         :class:`~repro.service.resilience.FaultKind` value.  Only
@@ -224,9 +220,8 @@ class ShardedOutcome:
         Per shard, where its result came from and in how many
         attempts: ``{"node": ..., "attempts": n}`` with node
         ``"local"`` (mined here), a fleet node id, ``"checkpoint"``
-        (resumed), the ``completed_origin`` (reused) or ``None``
-        (missing).  Shards never attempted (a ``max_clusters`` cap
-        reached first) have no entry.
+        (resumed) or ``None`` (missing).  Shards never attempted (a
+        ``max_clusters`` cap reached first) have no entry.
     """
 
     result: MiningResult
@@ -234,7 +229,6 @@ class ShardedOutcome:
     shard_errors: Dict[int, str] = field(default_factory=dict)
     failed_attempts: Dict[int, int] = field(default_factory=dict)
     resumed_shards: List[int] = field(default_factory=list)
-    reused_shards: List[int] = field(default_factory=list)
     fault_injections: Dict[str, int] = field(default_factory=dict)
     provenance: Dict[int, Dict[str, Any]] = field(default_factory=dict)
 
@@ -440,7 +434,7 @@ class _ShardDriver:
     :func:`_drive_pool` and :meth:`repro.service.fleet.FleetState
     .run_job`) only decide *where* each shard runs.  The ledger owns
     everything else about a job's shards: the shard universe and its
-    checkpoint resume, the ``shard.resumed`` / ``shard.reused`` spans,
+    checkpoint resume, the ``shard.resumed`` spans,
     attempt and fault accounting, interrupts, progress, per-shard
     provenance and the final merge.  It also holds the in-process shard
     body (:meth:`in_process_miner`, :meth:`mine_here`) shared by
@@ -458,7 +452,6 @@ class _ShardDriver:
         retry: Optional[RetryPolicy] = None,
         timeout: Optional[float] = None,
         completed: Optional[Mapping[int, ShardResult]] = None,
-        completed_origin: Optional[Mapping[int, str]] = None,
         on_shard_complete: Optional[Callable[[ShardResult], None]] = None,
         progress_callback: Optional[ProgressCallback] = None,
         should_stop: Optional[Callable[[], bool]] = None,
@@ -523,31 +516,16 @@ class _ShardDriver:
         self.clusters_so_far = sum(
             len(shard[1]) for shard in self.resumed.values()
         )
-        #: resumed shards that came from elsewhere (e.g. ``"parent"``)
-        self.origins: Dict[int, str] = {
-            int(start): origin
-            for start, origin in (completed_origin or {}).items()
-            if int(start) in self.resumed
-        }
         self.provenance: Dict[int, Dict[str, Any]] = {}
         for start in sorted(self.resumed):
             __, clusters, stats = self.resumed[start]
-            # Shards handed in from a *parent* job's result (revision
-            # stitching, docs/incremental.md) trace as "shard.reused"
-            # with their origin; ordinary checkpoints of this job keep
-            # tracing as "shard.resumed".
-            origin = self.origins.get(start)
-            self.provenance[start] = {
-                "node": origin if origin is not None else "checkpoint",
-                "attempts": 0,
-            }
+            self.provenance[start] = {"node": "checkpoint", "attempts": 0}
             span = self.tracer.span(
-                "shard.reused" if origin is not None else "shard.resumed",
+                "shard.resumed",
                 parent=self.trace_parent,
                 attributes={
                     "shard": start,
-                    "outcome": "reused" if origin is not None else "resumed",
-                    **({"origin": origin} if origin is not None else {}),
+                    "outcome": "resumed",
                     "nodes_expanded": int(stats.get("nodes_expanded", 0)),
                     "clusters_emitted": len(clusters),
                     **{key: value for key, value in stats.items()
@@ -733,8 +711,7 @@ class _ShardDriver:
             missing_shards=sorted(self.missing),
             shard_errors=dict(self.missing),
             failed_attempts=dict(self.failed_attempts),
-            resumed_shards=sorted(set(self.resumed) - set(self.origins)),
-            reused_shards=sorted(self.origins),
+            resumed_shards=sorted(self.resumed),
             fault_injections=dict(self.fault_injections),
             provenance=dict(sorted(self.provenance.items())),
         )
@@ -897,7 +874,6 @@ def mine_sharded_outcome(
     tracer: Optional[Tracer] = None,
     trace_parent: Optional[SpanContext] = None,
     shards: Optional[Sequence[int]] = None,
-    completed_origin: Optional[Mapping[int, str]] = None,
 ) -> ShardedOutcome:
     """Mine a matrix shard-by-shard with full recovery machinery.
 
@@ -921,13 +897,6 @@ def mine_sharded_outcome(
     completed:
         Already-finished shard results keyed by start condition — the
         checkpoint-resume seam.  They are merged without re-mining.
-    completed_origin:
-        Optional provenance per ``completed`` shard (e.g. ``"parent"``
-        for shards stitched from a revision's parent job).  Shards with
-        an origin trace as ``shard.reused`` instead of
-        ``shard.resumed``, are reported in
-        :attr:`ShardedOutcome.reused_shards` and name the origin as
-        their provenance node (docs/incremental.md).
     on_shard_complete:
         Invoked with every freshly mined :data:`ShardResult` the moment
         it completes (checkpoint-persistence seam).  Not called for
@@ -967,7 +936,6 @@ def mine_sharded_outcome(
         retry=retry,
         timeout=timeout,
         completed=completed,
-        completed_origin=completed_origin,
         on_shard_complete=on_shard_complete,
         progress_callback=progress_callback,
         should_stop=should_stop,

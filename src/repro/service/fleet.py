@@ -548,7 +548,6 @@ class FleetState:
         index: Optional[RWaveIndex] = None,
         fault_plan: Optional[FaultPlan] = None,
         completed: Optional[Mapping[int, ShardResult]] = None,
-        completed_origin: Optional[Mapping[int, str]] = None,
         on_shard_complete: Optional[Callable[[ShardResult], None]] = None,
         progress_callback: Optional[ProgressCallback] = None,
         should_stop: Optional[Callable[[], bool]] = None,
@@ -584,7 +583,6 @@ class FleetState:
             retry=self.retry,
             timeout=timeout,
             completed=completed,
-            completed_origin=completed_origin,
             on_shard_complete=on_shard_complete,
             progress_callback=progress_callback,
             should_stop=should_stop,

@@ -160,7 +160,9 @@ def compute_job_id(matrix_digest: str, params: MiningParameters) -> str:
 #: Keys that records written by earlier versions carry for fields
 #: since removed.  Dropped on load so such a store still opens; any
 #: other unknown key still raises.
-_RETIRED_KEYS = ("kernel_cache_hit", "kernel_build")
+_RETIRED_KEYS = (
+    "kernel_cache_hit", "kernel_build", "reused_shards", "revision_parent",
+)
 
 
 @dataclass(frozen=True)
@@ -209,13 +211,6 @@ class JobRecord:
     #: for direct/in-process submissions) — admission accounting only,
     #: never part of the job identity
     tenant: Optional[str] = None
-    #: shards stitched verbatim from the parent job of a matrix
-    #: revision instead of being mined (``None`` for ordinary jobs;
-    #: docs/incremental.md)
-    reused_shards: Optional[List[int]] = None
-    #: the parent job a revision job reused shards from (``None`` for
-    #: ordinary jobs or when the parent offered nothing to reuse)
-    revision_parent: Optional[str] = None
     #: how this job's RWave index was obtained: ``cached`` (artifact
     #: cache), ``delta`` (incrementally updated from the parent's
     #: index), or ``cold`` (built from scratch); ``None`` until

@@ -55,10 +55,9 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.core.cluster import RegCluster
 from repro.core.miner import MiningCancelled, MiningTimeout
 from repro.core.params import MiningParameters
-from repro.core.serialize import cluster_from_dict, cluster_to_dict, result_to_dict
+from repro.core.serialize import result_to_dict
 from repro.incremental.delta import (
     MatrixDelta,
     MatrixRevision,
@@ -66,7 +65,6 @@ from repro.incremental.delta import (
     delta_to_dict,
 )
 from repro.incremental.lineage import RevisionStore
-from repro.incremental.planner import DirtyShardPlanner
 from repro.incremental.sweep import (
     SweepBatch,
     SweepPoint,
@@ -80,7 +78,7 @@ from repro.matrix.summary import matrix_digest
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, render_family
 from repro.obs.trace import NULL_TRACER, Span, Tracer
-from repro.service.cache import DEFAULT_MAX_BYTES, ArtifactCache, Lineage
+from repro.service.cache import DEFAULT_MAX_BYTES, ArtifactCache
 from repro.service.executor import ShardResult, mine_sharded_outcome
 from repro.service.fleet import DEFAULT_LEASE_TTL, FleetState
 from repro.service.jobs import (
@@ -230,14 +228,11 @@ class MiningService:
         self._matrix_dir = self.store_dir / "matrices"
         self._matrix_dir.mkdir(parents=True, exist_ok=True)
         #: matrix lineage: one revision record per evolved matrix, so
-        #: any job on a child digest becomes delta-aware
+        #: a job on a child digest can delta-update its parent's index
         #: (docs/incremental.md)
         self.revisions = RevisionStore(self.store_dir / "revisions")
         #: submitted parameter-sweep batches (grid -> ordinary job ids)
         self.sweeps = SweepStore(self.store_dir / "sweeps")
-        #: maps a delta to the shards it can influence; stateless, one
-        #: shared instance
-        self.planner = DirtyShardPlanner()
         #: weighted-fair submission queue: high/normal/low classes
         #: share the executor 4:2:1 under contention (docs/service.md)
         self._queue = FairJobQueue()
@@ -323,12 +318,6 @@ class MiningService:
             "repro_incremental_revisions_total",
             "Matrix revisions accepted, by delta kind.",
             labelnames=("delta",),
-        )
-        self._m_inc_shards = registry.counter(
-            "repro_incremental_shards_total",
-            "Revision-job shards by source: stitched from the parent "
-            "job (reused) or re-mined (mined).",
-            labelnames=("source",),
         )
         self._m_inc_index_builds = registry.counter(
             "repro_incremental_index_builds_total",
@@ -626,10 +615,9 @@ class MiningService:
         The child matrix is derived by applying ``delta`` to the stored
         parent, persisted content-addressed, and the lineage edge is
         recorded — then the child is submitted as an ordinary job.  The
-        executor consults the lineage store when it picks the job up,
-        so the job delta-updates the parent's cached index and
-        stitches clean shards from the parent's result instead of
-        re-mining them (docs/incremental.md).
+        job's only lineage-aware step is its index: when the child's is
+        not cached, the parent's cached index is delta-updated instead
+        of building cold (docs/incremental.md).
 
         Raises :class:`KeyError` when ``parent_digest`` is not stored
         and :class:`ValueError` when the delta does not fit the parent.
@@ -1054,102 +1042,6 @@ class MiningService:
             root.end()
             tracer.close()
 
-    # ------------------------------------------------------------------
-    # Revision-aware execution (docs/incremental.md)
-    # ------------------------------------------------------------------
-
-    def _revision_context(self, record: JobRecord) -> Optional[Lineage]:
-        """The lineage of a job's matrix, or ``None`` for root matrices.
-
-        A revision whose parent matrix is no longer stored (or whose
-        stored delta fails validation) answers ``None`` — the job then
-        mines from scratch, which is always correct.
-        """
-        revision = self.revisions.get(record.matrix_digest)
-        if revision is None:
-            return None
-        try:
-            parent_matrix = self._load_matrix(revision.parent_digest)
-            delta = revision.typed_delta()
-        except (KeyError, ValueError, OSError):
-            return None
-        return revision.parent_digest, parent_matrix, delta
-
-    def _parent_reusable_shards(
-        self,
-        parent_digest: str,
-        parent_matrix: ExpressionMatrix,
-        child_matrix: ExpressionMatrix,
-        params: MiningParameters,
-        clean_shards: "tuple[int, ...]",
-    ) -> "tuple[str, Dict[int, ShardResult]]":
-        """Clean shards recoverable from the parent's job, per source.
-
-        A ``done`` parent serves from its cached result payload (the
-        deterministic shard merge groups back exactly by first chain
-        condition); a ``degraded`` parent serves from its surviving
-        shard checkpoints, so its *missing* shards are mined — never
-        trusted.  Cluster gene/condition membership is remapped by
-        *name* into the child matrix, which keeps ids correct across
-        ``drop_genes`` for free.  Anything unreadable simply drops out
-        of the reuse set: re-mining is always sound.
-        """
-        parent_job_id = compute_job_id(parent_digest, params)
-        reusable: Dict[int, ShardResult] = {}
-        try:
-            parent_record = self.jobs.get(parent_job_id)
-        except KeyError:
-            return parent_job_id, reusable
-        clean = set(clean_shards)
-        if parent_record.state is JobState.DONE:
-            payload = self.cache.get_result(parent_job_id)
-            if payload is None:
-                with self._lock:
-                    payload = self._result_fallback.get(parent_job_id)
-            if payload is None:
-                return parent_job_id, reusable
-            clusters = payload.get("clusters", [])
-            if (
-                params.max_clusters is not None
-                and len(clusters) >= params.max_clusters
-            ):
-                # The payload may have been truncated by max_clusters:
-                # per-shard grouping could silently miss clusters, so
-                # nothing is reused (correctness over reuse).
-                return parent_job_id, reusable
-            grouped: Dict[int, List[RegCluster]] = {}
-            try:
-                for entry in clusters:  # reglint: disable=RL106
-                    cluster = cluster_from_dict(entry, matrix=child_matrix)
-                    grouped.setdefault(cluster.chain[0], []).append(cluster)
-            except (KeyError, TypeError, ValueError):
-                return parent_job_id, reusable
-            for start in sorted(clean):  # reglint: disable=RL106
-                # Reused-from-payload shards carry no per-shard search
-                # statistics (the payload merges them); clusters are
-                # identical to re-mining, statistics are not claimed.
-                reusable[start] = (start, grouped.get(start, []), {})
-            return parent_job_id, reusable
-        if parent_record.state is JobState.DEGRADED:
-            missing = set(parent_record.missing_shards or [])
-            checkpoints = self.jobs.load_shards(parent_job_id)
-            for start, shard in sorted(checkpoints.items()):  # reglint: disable=RL106
-                if start not in clean or start in missing:
-                    continue
-                __, clusters, stats = shard
-                try:
-                    remapped = [
-                        cluster_from_dict(
-                            cluster_to_dict(cluster, parent_matrix),
-                            matrix=child_matrix,
-                        )
-                        for cluster in clusters
-                    ]
-                except (IndexError, KeyError, TypeError, ValueError):
-                    continue
-                reusable[start] = (start, remapped, dict(stats))
-        return parent_job_id, reusable
-
     def _mine_job_traced(
         self,
         job_id: str,
@@ -1183,22 +1075,21 @@ class MiningService:
             matrix = self._load_matrix(record.matrix_digest)
         params = parameters_from_dict(record.parameters)
 
-        # 1b. Lineage: a job on a revised matrix becomes delta-aware —
-        #     the index is delta-updated from the parent's cached index
-        #     and clean shards are stitched from the parent job.  Every
-        #     reuse path is best-effort; losing the parent only loses
-        #     speed, never correctness.
-        lineage = self._revision_context(record)
-
         # 2. The RWave^gamma index, keyed by (digest, gamma): a cache
-        #    hit, a delta update of the parent's index, or a cold build.
+        #    hit, a delta update of the parent's index when the matrix
+        #    is a revision (docs/incremental.md), or a cold build.
         #    Whatever is built is stored, so the next job on this matrix
         #    (or a revision of it) starts warm.  It is the one artifact
-        #    every shard driver mines from.
+        #    every shard driver mines from, and the only step of a job
+        #    that knows about lineage.
         digest = record.matrix_digest
+        revision = self.revisions.get(digest)
         with tracer.span("index", parent=root) as span:
             index, index_build = self.cache.resolve(
-                digest, params.gamma, matrix, lineage=lineage
+                digest, params.gamma, matrix,
+                lineage=None if revision is None else (
+                    revision.parent_digest, revision.typed_delta()
+                ),
             )
             span.set_attributes(
                 {"cache_hit": index_build == "cached", "build": index_build}
@@ -1217,56 +1108,6 @@ class MiningService:
         #    re-mining; every newly completed shard is checkpointed the
         #    moment it finishes.
         completed = self.jobs.load_shards(job_id)
-
-        # 3a. Shard revalidation: map the delta to dirty shards and
-        #     stitch every clean shard from the parent job instead of
-        #     re-mining it.  The job's own checkpoints take precedence
-        #     over parent reuse (they are already exact for THIS job).
-        completed_origin: Dict[int, str] = {}
-        revision_parent_job: Optional[str] = None
-        if lineage is not None:
-            parent_digest, parent_matrix, delta = lineage
-            with tracer.span("revision.plan", parent=root) as plan_span:
-                try:
-                    plan = self.planner.plan(
-                        parent_matrix, matrix, delta, params.gamma
-                    )
-                except (TypeError, ValueError):
-                    plan = None
-                if plan is not None:
-                    plan_span.set_attributes(
-                        {
-                            "delta": delta.kind,
-                            "n_shards": plan.n_shards,
-                            "dirty_shards": len(plan.dirty_shards),
-                            "clean_shards": len(plan.clean_shards),
-                        }
-                    )
-            if plan is not None and plan.clean_shards:
-                parent_job_id, reusable = self._parent_reusable_shards(
-                    parent_digest, parent_matrix, matrix, params,
-                    plan.clean_shards,
-                )
-                for start in sorted(reusable):  # reglint: disable=RL106
-                    if start not in completed:
-                        completed[start] = reusable[start]
-                        completed_origin[start] = "parent"
-                if completed_origin:
-                    revision_parent_job = parent_job_id
-            self._m_inc_shards.labels(source="reused").inc(
-                len(completed_origin)
-            )
-            self._m_inc_shards.labels(source="mined").inc(
-                matrix.n_conditions - len(completed)
-            )
-            if completed_origin:
-                _LOG.info(
-                    "revision.reuse",
-                    job_id=job_id,
-                    parent_job=revision_parent_job,
-                    reused=len(completed_origin),
-                    mined=matrix.n_conditions - len(completed),
-                )
 
         progress = {"nodes_expanded": 0, "clusters_emitted": 0}
         # Checkpointed nodes were already counted by the run that mined
@@ -1315,7 +1156,6 @@ class MiningService:
             fault_plan=self.fault_plan,
             timeout=self.job_timeout,
             completed=completed,
-            completed_origin=completed_origin,
             on_shard_complete=on_shard_complete,
             progress_callback=on_progress,
             should_stop=cancel_event.is_set,
@@ -1365,7 +1205,6 @@ class MiningService:
                 ),
                 "missing_shards": list(outcome.missing_shards),
                 "resumed_shards": outcome.resumed_shards,
-                "reused_shards": outcome.reused_shards,
             }
         )
         mine_span.set_attributes(
@@ -1385,8 +1224,6 @@ class MiningService:
             progress=dict(progress),
             phase_timers=result.statistics.timers.as_dict(),
             resumed_shards=outcome.resumed_shards or None,
-            reused_shards=outcome.reused_shards or None,
-            revision_parent=revision_parent_job,
             shard_failures={
                 str(s): n for s, n in sorted(outcome.failed_attempts.items())
             } or None,

@@ -1,5 +1,7 @@
 """DirtyShardPlanner: dirty/clean classification and its soundness."""
 
+# The planner is kept for perfbench/layers.py; no job path plans.
+
 from __future__ import annotations
 
 import numpy as np

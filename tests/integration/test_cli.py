@@ -396,6 +396,31 @@ class TestServiceSubcommands:
         assert "reuse.index_build: cold" in detail
         assert "kernel" not in detail
 
+    def test_evolve_wait_prints_the_index_build(self, daemon, example_file,
+                                                capsys):
+        params = ["--min-genes", "3", "--min-conditions", "5",
+                  "--gamma", "0.15", "--epsilon", "0.1"]
+        assert main(["submit", example_file, "--url", daemon, "--wait",
+                     *params]) == 0
+        job_id = next(
+            token for token in capsys.readouterr().out.split()
+            if token.startswith("job-")
+        )
+        assert main(["status", job_id, "--url", daemon]) == 0
+        digest = next(
+            line.split(": ")[1] for line in capsys.readouterr().out.splitlines()
+            if line.startswith("matrix_digest: ")
+        )
+        assert main(["evolve", digest, "--drop-genes", "g2", "--url",
+                     daemon, "--wait", *params]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "index build: delta"
+        child_job = out.splitlines()[-2].split()[1]
+        assert main(["status", child_job, "--url", daemon, "--stats"]) == 0
+        detail = capsys.readouterr().out
+        assert "reuse.index_build: delta" in detail
+        assert "shards_reused" not in detail and "parent_job" not in detail
+
     def test_status_without_stats_omits_statistics(self, daemon,
                                                    example_file, capsys):
         assert main(

@@ -197,26 +197,6 @@ class TestSummarize:
         rendered = summarize_trace(spans)
         assert "resumed" in rendered
 
-    def test_reused_shards_render_as_reused_rows(self):
-        # A fully reused 8-shard revision: every shard is stitched from
-        # the parent job, none is mined.
-        spans = [self._span(span_id="r")] + [
-            self._span(
-                span_id=f"s{shard}", parent_id="r", name="shard.reused",
-                duration_s=0.0,
-                attributes={"shard": shard, "outcome": "reused",
-                            "origin": "parent", "nodes_expanded": 0,
-                            "clusters_emitted": shard % 2},
-            )
-            for shard in range(8)
-        ]
-        lines = summarize_trace(spans).splitlines()
-        rows = [l.split() for l in lines if l.strip()[:1].isdigit()]
-        assert [row[0] for row in rows] == [str(s) for s in range(8)]
-        assert {row[2] for row in rows} == {"reused"}
-        assert [row[5] for row in rows] == [str(s % 2) for s in range(8)]
-        assert not any(l.startswith("span shard.reused") for l in lines)
-
     def test_orphan_spans_are_reported(self):
         spans = [
             self._span(span_id="a", parent_id="gone", name="shard",

@@ -5,15 +5,16 @@ fleet queue (here with no nodes, so the coordinator mines every shard
 itself).  All three book their shards through the executor's one shard
 ledger, so a job must come out the same on each: the same clusters (the
 from-scratch ones, each a valid reg-cluster by Definition 3.2), the
-same resumed / reused shards and per-shard provenance, the same index
+same resumed shards and per-shard provenance, the same index
 acquisition, the same live cluster count and the same shard and
 checkpoint spans.  No path builds a regulation kernel: every test here
 runs with kernel construction made to raise.
 
 Inputs have 7, 8 and 9 conditions and carry one constant gene.  Job
 kinds: a fresh job, a job resumed after a zero-retry crash degraded it,
-and an ``append_genes`` revision whose every shard is reused from the
-parent.
+and revision jobs (``append_genes`` and ``append_conditions``), which
+mine every shard like a fresh job and differ only in how they obtain
+their index.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.core.params import MiningParameters
 from repro.core.serialize import cluster_from_dict, result_to_dict
 from repro.core.validate import validation_errors
 from repro.datasets.synthetic import make_synthetic_dataset
-from repro.incremental import AppendGenes, apply_delta
+from repro.incremental import AppendConditions, AppendGenes, apply_delta
 from repro.matrix.expression import ExpressionMatrix
 from repro.matrix.summary import matrix_digest
 from repro.obs.trace import load_spans
@@ -93,15 +94,15 @@ def observe(service, root, path, record, matrix):
     """What the finished job reports, after checking its clusters."""
     done = service.status(record.job_id)
     assert done.state is JobState.DONE, done.error
-    clusters = service.result(record.job_id)["clusters"]
-    for entry in clusters:
+    payload = service.result(record.job_id)
+    for entry in payload["clusters"]:
         cluster = cluster_from_dict(entry, matrix=matrix)
         assert validation_errors(matrix, cluster, PARAMS) == []
     spans = load_spans(root / path / "traces" / f"{record.job_id}.trace.jsonl")
     return {
-        "clusters": clusters,
+        "clusters": payload["clusters"],
+        "statistics": payload["statistics"],
         "resumed_shards": done.resumed_shards,
-        "reused_shards": done.reused_shards,
         "shard_provenance": done.shard_provenance,
         "index_build": done.index_build,
         "spans": Counter(
@@ -112,14 +113,15 @@ def observe(service, root, path, record, matrix):
     }
 
 
-def scratch_clusters(matrix):
-    result = RegClusterMiner(matrix, PARAMS).mine()
-    return result_to_dict(result, matrix)["clusters"]
+def scratch_payload(matrix):
+    return result_to_dict(RegClusterMiner(matrix, PARAMS).mine(), matrix)
 
 
 def assert_paths_agree(observed, matrix):
     reference = observed["in-process"]
-    assert reference["clusters"] == scratch_clusters(matrix)
+    scratch = scratch_payload(matrix)
+    assert reference["clusters"] == scratch["clusters"]
+    assert reference["statistics"] == scratch["statistics"]
     disagreements = sorted(
         (path, key)
         for path in ("pool", "fleet")
@@ -167,32 +169,44 @@ def test_resumed_job(tmp_path, matrix):
     assert observed["fleet"]["index_build"] == "cached"
 
 
-def test_fully_reused_revision(tmp_path, matrix):
-    delta = AppendGenes(
-        names=("flat",), values=np.full((1, matrix.n_conditions), 5.0)
-    )
-    child = apply_delta(matrix, delta)
-    observed = {}
-    for path in PATHS:
-        service = daemon(tmp_path, path)
-        parent = service.submit(matrix, PARAMS)
-        service.run_pending()
-        assert service.status(parent.job_id).state is JobState.DONE
-        __, record = service.submit_revision(
-            matrix_digest(matrix), delta, PARAMS
-        )
-        service.run_pending()
-        observed[path] = observe(service, tmp_path, path, record, child)
-    assert_paths_agree(observed, child)
-    n = matrix.n_conditions
-    fleet = observed["fleet"]
-    assert fleet["reused_shards"] == list(range(n))
-    assert fleet["resumed_shards"] is None
-    assert fleet["shard_provenance"] == {
-        str(s): {"node": "parent", "attempts": 0} for s in range(n)
+def test_revision_job(tmp_path, matrix):
+    """A revision job is an ordinary job on the child matrix: it mines
+    every shard locally and returns the scratch clusters and search
+    statistics.  Only its index differs: delta-updated from the
+    parent's for a gene-axis delta, rebuilt cold when conditions are
+    appended."""
+    rng = np.random.default_rng(matrix.n_conditions)
+    deltas = {
+        "delta": AppendGenes(
+            names=("flat",), values=np.full((1, matrix.n_conditions), 5.0)
+        ),
+        "cold": AppendConditions(
+            names=("new",), values=rng.uniform(0, 10, (1, matrix.n_genes))
+        ),
     }
-    assert fleet["spans"] == Counter({"shard.reused": n})
-    assert fleet["index_build"] == "delta"
+    for build, delta in deltas.items():
+        child = apply_delta(matrix, delta)
+        observed = {}
+        for path in PATHS:
+            root = tmp_path / build
+            service = daemon(root, path)
+            parent = service.submit(matrix, PARAMS)
+            service.run_pending()
+            assert service.status(parent.job_id).state is JobState.DONE
+            __, record = service.submit_revision(
+                matrix_digest(matrix), delta, PARAMS
+            )
+            service.run_pending()
+            observed[path] = observe(service, root, path, record, child)
+        assert_paths_agree(observed, child)
+        n = child.n_conditions
+        fleet = observed["fleet"]
+        assert fleet["index_build"] == build
+        assert fleet["resumed_shards"] is None
+        assert fleet["shard_provenance"] == {
+            str(s): {"node": "local", "attempts": 1} for s in range(n)
+        }
+        assert fleet["spans"] == Counter({"shard": n, "checkpoint": n})
 
 
 def test_live_cluster_count(tmp_path):

@@ -1,6 +1,8 @@
-"""Service-level incremental mining: revisions, stitching, sweeps."""
+"""Service-level incremental mining: revisions, index deltas, sweeps."""
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from repro.incremental import (
 from repro.incremental.delta import delta_to_dict
 from repro.matrix.summary import matrix_digest
 from repro.core.params import MiningParameters
+from repro.service.cache import index_cache_key
 from repro.service.jobs import JobState
 from repro.service.resilience import (
     FaultKind,
@@ -48,22 +51,20 @@ def run_done(service, record):
     return done
 
 
-def scratch_clusters(tmp_path, child_matrix, params=PARAMS):
+def scratch_payload(tmp_path, child_matrix, params=PARAMS):
     """The child matrix mined from scratch in a pristine service."""
     clean = MiningService(tmp_path / "scratch")
     record = clean.submit(child_matrix, params)
     clean.run_pending()
-    return clean.result(record.job_id)["clusters"]
+    return clean.result(record.job_id)
 
 
-def assert_bit_identical(payload, reference_clusters):
-    """The mining *output* must match a from-scratch run exactly.
-
-    Search statistics are effort counters, not output: shards stitched
-    from the parent report zero nodes by design, so only the clusters
-    (names, chains, memberships, in order) are compared.
-    """
-    assert payload["clusters"] == reference_clusters
+def assert_bit_identical(payload, reference):
+    """A revision job must return exactly what a from-scratch run does:
+    the clusters (names, chains, memberships, in order) and the search
+    statistics, since it mines every shard of the child itself."""
+    assert payload["clusters"] == reference["clusters"]
+    assert payload["statistics"] == reference["statistics"]
 
 
 class TestRevisionJobs:
@@ -80,15 +81,12 @@ class TestRevisionJobs:
             matrix_digest(matrix), delta, PARAMS
         )
         done = run_done(service, record)
-        # Every shard stitched, zero mined, and still bit-identical to
-        # mining the child from scratch.
-        assert done.reused_shards == list(range(matrix.n_conditions))
-        assert done.revision_parent == parent.job_id
+        # The index carries every parent gene row over, and the job
+        # mines exactly what mining the child from scratch does.
         assert done.index_build == "delta"
-        assert done.progress["nodes_expanded"] == 0
         assert_bit_identical(
             service.result(record.job_id),
-            scratch_clusters(tmp_path, apply_delta(matrix, delta)),
+            scratch_payload(tmp_path, apply_delta(matrix, delta)),
         )
 
     def test_all_dirty_delta_runs_as_plain_job(
@@ -96,8 +94,8 @@ class TestRevisionJobs:
     ):
         parent = service.submit(matrix, PARAMS)
         run_done(service, parent)
-        # A condition above every gene's max is reachable from every
-        # shard: nothing can be reused.
+        # A condition above every gene's max moves every Eq. 4
+        # threshold; the revision job mines like any other.
         top = matrix.values.max() + 100.0
         delta = AppendConditions(
             names=("top",), values=np.full((1, matrix.n_genes), top)
@@ -106,44 +104,66 @@ class TestRevisionJobs:
             matrix_digest(matrix), delta, PARAMS
         )
         done = run_done(service, record)
-        assert done.reused_shards is None
-        assert done.revision_parent is None
+        assert done.index_build == "cold"
         assert_bit_identical(
             service.result(record.job_id),
-            scratch_clusters(tmp_path, apply_delta(matrix, delta)),
+            scratch_payload(tmp_path, apply_delta(matrix, delta)),
         )
 
     @pytest.mark.parametrize(
-        "make_delta",
+        "make_delta, build",
         [
-            lambda m: AppendConditions(
-                names=("n1",),
-                values=np.random.default_rng(1).uniform(
-                    0, 10, size=(1, m.n_genes)
+            (
+                lambda m: AppendConditions(
+                    names=("n1",),
+                    values=np.random.default_rng(1).uniform(
+                        0, 10, size=(1, m.n_genes)
+                    ),
                 ),
+                "cold",
             ),
-            lambda m: AppendGenes(
-                names=("gA",),
-                values=bimodal_matrix(1, m.n_conditions, seed=21).values,
+            (
+                lambda m: AppendGenes(
+                    names=("gA",),
+                    values=bimodal_matrix(
+                        1, m.n_conditions, seed=21
+                    ).values,
+                ),
+                "delta",
             ),
-            lambda m: DropGenes(genes=(m.gene_names[3],)),
+            (lambda m: DropGenes(genes=(m.gene_names[3],)), "delta"),
         ],
         ids=["append_conditions", "append_genes", "drop_genes"],
     )
     def test_stitched_result_bit_identical_to_scratch(
-        self, service, matrix, tmp_path, make_delta
+        self, service, matrix, tmp_path, make_delta, build
     ):
-        service.run_pending()
+        """A revision job's result is the child's from-scratch result.
+
+        Its index build says whether the update carried the parent's
+        gene rows over: an ``append_conditions`` update carries none
+        (every row gained values), so it is a cold build, counted once.
+        """
         parent = service.submit(matrix, PARAMS)
         run_done(service, parent)
         delta = make_delta(matrix)
-        revision, record = service.submit_revision(
+        __, record = service.submit_revision(
             matrix_digest(matrix), delta, PARAMS
         )
-        run_done(service, record)
+        assert run_done(service, record).index_build == build
+        builds = dict(
+            re.findall(
+                r'repro_incremental_index_builds_total\{mode="(\w+)"\} (\d+)',
+                service.metrics.render(),
+            )
+        )
+        # The parent's own job built its index cold.
+        assert builds == (
+            {"cold": "2"} if build == "cold" else {"cold": "1", "delta": "1"}
+        )
         assert_bit_identical(
             service.result(record.job_id),
-            scratch_clusters(tmp_path, apply_delta(matrix, delta)),
+            scratch_payload(tmp_path, apply_delta(matrix, delta)),
         )
 
     def test_chained_revisions(self, service, matrix, tmp_path):
@@ -165,7 +185,7 @@ class TestRevisionJobs:
         grandchild = apply_delta(apply_delta(matrix, first), second)
         assert_bit_identical(
             service.result(rec2.job_id),
-            scratch_clusters(tmp_path, grandchild),
+            scratch_payload(tmp_path, grandchild),
         )
 
     def test_unknown_parent_digest_raises(self, service):
@@ -188,9 +208,9 @@ class TestRevisionJobs:
     def test_revision_without_parent_job_mines_from_scratch(
         self, service, matrix, tmp_path
     ):
-        # The parent matrix is stored but never mined: there is no
-        # parent job to stitch from, so the revision job just mines —
-        # correctness never depends on reuse.
+        # The parent matrix is stored but has no job at the revision's
+        # parameters: the revision job mines like any other —
+        # correctness never depends on the lineage.
         service.submit(matrix, PARAMS)  # stores the matrix ...
         # ... but do NOT run it; submit the revision at different
         # parameters so no parent job record exists for them.
@@ -205,13 +225,16 @@ class TestRevisionJobs:
         service.run_pending()
         done = service.status(record.job_id)
         assert done.state is JobState.DONE
-        assert done.reused_shards is None
+        assert_bit_identical(
+            service.result(record.job_id),
+            scratch_payload(tmp_path, apply_delta(matrix, delta), other),
+        )
 
     def test_degraded_parent_missing_shards_are_mined(
         self, tmp_path, matrix
     ):
-        # Lose one shard of the parent permanently; the revision must
-        # reuse only surviving clean shards and re-mine the missing one.
+        # Lose one shard of the parent permanently; the revision job
+        # mines every shard of the child, the parent's missing one too.
         victim = 3
         plan = FaultPlan(
             [
@@ -229,7 +252,7 @@ class TestRevisionJobs:
         assert degraded.state is JobState.DEGRADED
         assert degraded.missing_shards == [victim]
         # Fresh service over the same store, no faults: the revision
-        # job stitches surviving shards and mines the missing one.
+        # job delta-updates the parent's index and mines.
         healthy = MiningService(tmp_path / "store")
         delta = AppendGenes(
             names=("flat",),
@@ -239,27 +262,10 @@ class TestRevisionJobs:
             matrix_digest(matrix), delta, PARAMS
         )
         done = run_done(healthy, record)
-        assert done.reused_shards is not None
-        assert victim not in done.reused_shards
+        assert done.index_build == "delta"
         assert_bit_identical(
             healthy.result(record.job_id),
-            scratch_clusters(tmp_path, apply_delta(matrix, delta)),
-        )
-
-    def test_provenance_marks_parent_shards(self, service, matrix):
-        parent = service.submit(matrix, PARAMS)
-        run_done(service, parent)
-        delta = AppendGenes(
-            names=("flat",),
-            values=np.full((1, matrix.n_conditions), 5.0),
-        )
-        __, record = service.submit_revision(
-            matrix_digest(matrix), delta, PARAMS
-        )
-        done = run_done(service, record)
-        assert all(
-            info["node"] == "parent" and info["attempts"] == 0
-            for info in done.shard_provenance.values()
+            scratch_payload(tmp_path, apply_delta(matrix, delta)),
         )
 
     def test_revision_metrics_families(self, service, matrix):
@@ -279,11 +285,6 @@ class TestRevisionJobs:
             in text
         )
         assert (
-            'repro_incremental_shards_total{source="reused"} '
-            f"{matrix.n_conditions}" in text
-        )
-        assert 'repro_incremental_shards_total{source="mined"} 0' in text
-        assert (
             'repro_incremental_index_builds_total{mode="delta"} 1'
             in text
         )
@@ -299,8 +300,7 @@ class TestRevisionJobs:
         run_done(service, parent)
         cache = service.cache
         parent_digest = matrix_digest(matrix)
-        for key in list(cache.artifacts_for_digest(parent_digest)):
-            cache.drop_artifact(key)
+        cache.drop_artifact(index_cache_key(parent_digest, PARAMS.gamma))
         assert cache.get_index(parent_digest, PARAMS.gamma) is None
 
         first = AppendGenes(
@@ -325,7 +325,7 @@ class TestRevisionJobs:
         assert done2.index_build == "delta"
         assert_bit_identical(
             service.result(rec2.job_id),
-            scratch_clusters(
+            scratch_payload(
                 tmp_path,
                 apply_delta(apply_delta(matrix, first), second),
             ),
@@ -452,14 +452,13 @@ class TestCacheLineage:
         revision, record = service.submit_revision(
             matrix_digest(matrix), delta, PARAMS
         )
-        run_done(service, record)
+        assert run_done(service, record).index_build == "delta"
         cache = service.cache
-        parent_digest = matrix_digest(matrix)
-        children = cache.derived_from(parent_digest)
-        assert children, "delta-built artifacts must register lineage"
-        # Evict every parent artifact; the children must still load.
-        for key in cache.artifacts_for_digest(parent_digest):
-            cache.drop_artifact(key)
+        # Evict the parent's index; the delta-built child must still load.
+        cache.drop_artifact(
+            index_cache_key(matrix_digest(matrix), PARAMS.gamma)
+        )
+        assert cache.get_index(matrix_digest(matrix), PARAMS.gamma) is None
         assert cache.get_index(revision.child_digest, PARAMS.gamma) is not None
 
 

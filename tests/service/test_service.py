@@ -12,6 +12,7 @@ from repro.core.params import MiningParameters
 from repro.core.rwave import RWaveIndex
 from repro.datasets.synthetic import SyntheticConfig, make_synthetic_dataset
 from repro.core.serialize import result_to_dict
+from repro.service.cache import index_cache_key
 from repro.service.jobs import JobState, JobStore
 from repro.service import service as service_module
 from repro.service.service import MiningService
@@ -231,10 +232,13 @@ class TestRestart:
     def test_store_of_an_earlier_version_still_serves(
         self, tmp_path, running_example, paper_params
     ):
-        """Earlier versions built a regulation kernel for every job: each
-        record carries ``kernel_cache_hit`` / ``kernel_build`` and the
-        cache holds a ``kernel-...`` artifact.  Such a store still opens,
-        re-arms its running job and finishes it."""
+        """Earlier versions built a regulation kernel for every job and
+        stitched revision shards from the parent job: each record
+        carries ``kernel_cache_hit`` / ``kernel_build`` and
+        ``reused_shards`` / ``revision_parent``, the cache holds a
+        ``kernel-...`` artifact and a manifest entry may name the
+        ``parent_digest`` its artifact was delta-updated from.  Such a
+        store still opens, re-arms its running job and finishes it."""
         store = tmp_path / "store"
         writer = MiningService(store)
         done = writer.submit(running_example, paper_params)
@@ -248,13 +252,20 @@ class TestRestart:
             RWaveIndex(running_example, paper_params.gamma).kernel,
         )
         earlier = {
-            done.job_id: {"kernel_cache_hit": False, "kernel_build": "cold"},
+            done.job_id: {
+                "kernel_cache_hit": False,
+                "kernel_build": "cold",
+                "reused_shards": None,
+                "revision_parent": None,
+            },
             running.job_id: {
                 "state": "running",
                 "started_at": running.submitted_at,
                 "index_cache_hit": True,
                 "kernel_cache_hit": True,
                 "kernel_build": "cached",
+                "reused_shards": [0, 2],
+                "revision_parent": done.job_id,
             },
         }
         for job_id, fields in earlier.items():
@@ -263,6 +274,11 @@ class TestRestart:
             del payload["index_build"]
             payload.update(fields)
             path.write_text(json.dumps(payload), encoding="utf-8")
+        manifest_path = store / "cache" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        index_key = index_cache_key(done.matrix_digest, paper_params.gamma)
+        manifest["entries"][index_key]["parent_digest"] = "ab" * 32
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         jobs = JobStore(store / "jobs")
         assert jobs.get(done.job_id).state is JobState.DONE
         assert jobs.get(running.job_id).state is JobState.RUNNING
