@@ -15,7 +15,12 @@ Exercises the full `reg-cluster serve` stack end to end:
    the end-to-end form of the shard-merge equivalence guarantee
    (docs/service.md);
 5. resubmit and require an idempotent answer served from cache;
-6. on a fresh single-worker store, submit the same matrix/gamma twice
+6. then submit a Fig. 7 generator matrix, whose values are full-precision
+   reprs (up to 17 digits, so the daemon's native JSON reader takes its
+   ``strtod`` branch), and require the record's ``matrix_digest`` to be
+   the client's and the result to equal a direct run: a decode that
+   changed one bit would change both;
+7. on a fresh single-worker store, submit the same matrix/gamma twice
    (different epsilon, so the result cache cannot answer) and require
    the RWave^gamma index artifact to be built once and reused — the
    second job must record an index cache hit.
@@ -32,9 +37,12 @@ import tempfile
 import threading
 import time
 
+from repro.bench.runner import paper_mining_parameters
 from repro.core.miner import mine_reg_clusters
 from repro.core.serialize import result_to_dict
 from repro.datasets.running_example import load_running_example
+from repro.datasets.synthetic import make_synthetic_dataset
+from repro.matrix.summary import matrix_digest
 from repro.service import MiningService, ServiceClient, serve
 from repro.service.jobs import JobState, parameters_to_dict
 from repro.core.params import MiningParameters
@@ -50,6 +58,20 @@ def wait_healthy(client: ServiceClient, timeout: float = 30.0) -> dict:
         if time.monotonic() >= deadline:
             raise TimeoutError(f"daemon never became healthy: {health}")
         time.sleep(0.05)
+
+
+def direct_result(matrix, params: MiningParameters) -> dict:
+    """The result document of an in-process mine."""
+    return result_to_dict(
+        mine_reg_clusters(
+            matrix,
+            min_genes=params.min_genes,
+            min_conditions=params.min_conditions,
+            gamma=params.gamma,
+            epsilon=params.epsilon,
+        ),
+        matrix,
+    )
 
 
 def main() -> int:
@@ -85,16 +107,7 @@ def main() -> int:
                 return 1
             via_http = client.result(record["job_id"])
 
-            direct = result_to_dict(
-                mine_reg_clusters(
-                    matrix,
-                    min_genes=params.min_genes,
-                    min_conditions=params.min_conditions,
-                    gamma=params.gamma,
-                    epsilon=params.epsilon,
-                ),
-                matrix,
-            )
+            direct = direct_result(matrix, params)
             if via_http != direct:
                 print("smoke: FAIL — service result differs from direct run")
                 print("--- service ---")
@@ -129,6 +142,27 @@ def main() -> int:
                 return 1
             print(f"smoke: /metrics exposes {len(families)} Prometheus "
                   f"families; finished job counted")
+
+            fig7 = make_synthetic_dataset(
+                n_genes=300, n_conditions=12, n_clusters=30, seed=9
+            ).matrix
+            fig7_params = paper_mining_parameters(fig7.n_genes)
+            fig7_record = client.submit_matrix(
+                fig7, parameters_to_dict(fig7_params)
+            )
+            if fig7_record["matrix_digest"] != matrix_digest(fig7):
+                print("smoke: FAIL — the daemon decoded a full-precision "
+                      "matrix to another digest")
+                return 1
+            fig7_done = client.wait(fig7_record["job_id"], timeout=120)
+            if fig7_done["state"] != "done" or client.result(
+                fig7_record["job_id"]
+            ) != direct_result(fig7, fig7_params):
+                print(f"smoke: FAIL — the full-precision job ended "
+                      f"{fig7_done['state']} or differs from direct mining")
+                return 1
+            print("smoke: full-precision 300x12 matrix decoded to the "
+                  "client's digest; result identical to direct mining")
         finally:
             service.stop()
             server.shutdown()

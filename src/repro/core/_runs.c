@@ -37,8 +37,16 @@
  *
  * The tables come in the index's table dtype; each entry point is
  * instantiated for 1-, 2- and 4-byte tables from one always-inlined body.
+ *
+ * Two entry points take no table width: runs_release, and
+ * runs_json_matrix, which reads a JSON array of equal-length arrays of
+ * numbers from a request body straight into float64
+ * (repro.service.router.decode_body), every value bit-identical to
+ * Python's json followed by numpy's float64 cast.  It declines any other
+ * array, and any number it cannot convert exactly, back to Python.
  */
 
+#include <errno.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -794,6 +802,167 @@ INLINE int tables(
     free(scratch);
     free(sorted);
     return 0;
+}
+
+/* Powers of ten a double holds exactly. */
+static const double EXACT_POWERS[] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+#define MAX_EXACT_POWER 22
+#define MAX_EXACT_SIGNIFICAND (UINT64_C(1) << 53)
+/* Integer literals of up to this many digits are exact doubles. */
+#define MAX_INTEGER_DIGITS 15
+/* Exponents beyond this are left to strtod. */
+#define MAX_EXPONENT 100000000
+
+INLINE int is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+INLINE const char *skip_space(const char *at, const char *end)
+{
+    while (at < end
+           && (*at == ' ' || *at == '\t' || *at == '\n' || *at == '\r'))
+        ++at;
+    return at;
+}
+
+/* Appends a decimal digit; past 2^53 the significand saturates, which
+ * leaves the token to strtod. */
+INLINE uint64_t append_digit(uint64_t significand, char digit)
+{
+    if (significand > MAX_EXACT_SIGNIFICAND)
+        return UINT64_MAX;
+    return significand * 10 + (uint64_t)(digit - '0');
+}
+
+/* Reads the JSON number token -?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)? at
+ * `at` and, unless value is NULL, converts it as Python's json does
+ * before numpy's float64 cast: a float to the correctly rounded double,
+ * an integer literal to the double of its integer (so -0 is +0.0).
+ * Returns the end of the token, or NULL when there is none or it is one
+ * left to Python: an integer of more than MAX_INTEGER_DIGITS digits, or
+ * a float strtod does not read exactly to the token's end (a non-C
+ * LC_NUMERIC) or reads out of range. */
+static const char *json_number(const char *at, const char *end,
+                               double *value)
+{
+    const char *token = at;
+    int negative = at < end && *at == '-';
+    at += negative;
+    if (at >= end || !is_digit(*at))
+        return NULL;
+    uint64_t significand = 0;
+    intptr_t digits = 0, power = 0;
+    int integer = 1;
+    if (*at == '0') {
+        ++at;
+        digits = 1;
+    } else {
+        for (; at < end && is_digit(*at); ++at, ++digits)
+            significand = append_digit(significand, *at);
+    }
+    if (at < end && *at == '.') {
+        integer = 0;
+        if (++at >= end || !is_digit(*at))
+            return NULL;
+        for (; at < end && is_digit(*at); ++at, --power)
+            significand = append_digit(significand, *at);
+    }
+    if (at < end && (*at == 'e' || *at == 'E')) {
+        integer = 0;
+        int minus = ++at < end && *at == '-';
+        at += at < end && (*at == '-' || *at == '+');
+        if (at >= end || !is_digit(*at))
+            return NULL;
+        intptr_t exponent = 0;
+        for (; at < end && is_digit(*at); ++at) {
+            if (exponent < MAX_EXPONENT)
+                exponent = exponent * 10 + (*at - '0');
+            else
+                significand = UINT64_MAX;
+        }
+        power += minus ? -exponent : exponent;
+    }
+    if (integer) {
+        if (digits > MAX_INTEGER_DIGITS)
+            return NULL;
+        if (value != NULL)
+            *value = negative && significand != 0 ? -(double)significand
+                                                  : (double)significand;
+        return at;
+    }
+    if (value == NULL)
+        return at;
+    if (significand <= MAX_EXACT_SIGNIFICAND && power >= -MAX_EXACT_POWER
+        && power <= MAX_EXACT_POWER) {
+        /* Both operands are exact doubles: one IEEE operation rounds the
+         * decimal value correctly. */
+        double exact = (double)significand;
+        exact = power < 0 ? exact / EXACT_POWERS[-power]
+                          : exact * EXACT_POWERS[power];
+        *value = negative ? -exact : exact;
+        return at;
+    }
+    char *stop;
+    errno = 0;
+    double read = strtod(token, &stop);
+    if (stop != at || errno == ERANGE)
+        return NULL;
+    *value = read;
+    return at;
+}
+
+/* Reads the JSON array whose '[' is text[start] as a matrix: one or more
+ * rows of equal length, each one or more JSON numbers, with only JSON
+ * whitespace between the tokens.  With values NULL it checks the array
+ * and sets shape to its (rows, columns); with values it writes the
+ * numbers there row by row, within the shape the checking call set.
+ * Returns the offset just past the array, or -1 when it is no such
+ * matrix or holds a number json_number leaves to Python.  text must be
+ * NUL-terminated (strtod reads up to a character no number holds). */
+intptr_t runs_json_matrix(const char *text, intptr_t length, intptr_t start,
+                          intptr_t *shape, double *values)
+{
+    const char *at = text + start, *end = text + length;
+    intptr_t rows = 0, columns = 0;
+    if (start < 0 || start >= length || *at != '[')
+        return -1;
+    do {
+        at = skip_space(at + 1, end);
+        if (at >= end || *at != '[')
+            return -1;
+        intptr_t column = 0;
+        do {
+            double *out = NULL;
+            if (values != NULL) {
+                if (rows >= shape[0] || column >= shape[1])
+                    return -1;
+                out = values + rows * shape[1] + column;
+            }
+            at = json_number(skip_space(at + 1, end), end, out);
+            if (at == NULL)
+                return -1;
+            ++column;
+            at = skip_space(at, end);
+        } while (at < end && *at == ',');
+        if (at >= end || *at != ']' || (rows > 0 && column != columns))
+            return -1;
+        columns = column;
+        ++rows;
+        at = skip_space(at + 1, end);
+    } while (at < end && *at == ',');
+    if (at >= end || *at != ']')
+        return -1;
+    if (values == NULL) {
+        shape[0] = rows;
+        shape[1] = columns;
+    } else if (rows != shape[0] || columns != shape[1]) {
+        return -1;
+    }
+    return at + 1 - text;
 }
 
 /* Frees what the pass's calls allocated; the pass may be used again. */

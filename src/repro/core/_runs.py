@@ -10,10 +10,11 @@ one else may enter it (a shared temp dir lets anyone plant a library
 under the predictable name).  A build is published with ``os.replace``,
 so concurrent builders (pool workers, fleet nodes) are safe.  Without a
 working compiler or a safe cache the loader warns once per process and
-:func:`run_kernel` returns ``None``: the miner then takes its legacy
-path and :func:`repro.core.rwave.chain_tables` its numpy body.
-``-ffp-contract=off`` (and no fast-math) keeps every float operation the
-IEEE one numpy performs.
+:func:`run_kernel` and :func:`json_matrix_reader` return ``None``: the
+miner then takes its legacy path, :func:`repro.core.rwave.chain_tables`
+its numpy body and :func:`repro.service.router.decode_body` plain
+:func:`json.loads`.  ``-ffp-contract=off`` (and no fast-math) keeps
+every float operation the IEEE one numpy performs.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import tempfile
 import threading
 import warnings
 import weakref
+from functools import partial
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -53,8 +55,10 @@ __all__ = [
     "PHASES",
     "REDUNDANT",
     "STOP",
+    "JsonMatrixReader",
     "RunKernel",
     "RunPass",
+    "json_matrix_reader",
     "native_tables",
     "run_kernel",
 ]
@@ -101,8 +105,16 @@ class RunKernel(NamedTuple):
     release: Any
 
 
+class _Library(NamedTuple):
+    """The library's entry points: the kernels by table entry width, and
+    the width-free ``runs_json_matrix``."""
+
+    kernels: Dict[int, RunKernel]
+    json_matrix: Any
+
+
 class _Loader:
-    """The process's bound kernels, loaded at most once.
+    """The process's bound library, loaded at most once.
 
     The lock serializes the one-time build.  A child forked while
     another thread held it starts with a fresh lock, so it never waits
@@ -112,12 +124,12 @@ class _Loader:
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.tried = False
-        #: kernels by table width; ``None`` once a build failed
-        self.kernels: Optional[Dict[int, RunKernel]] = None
+        #: ``None`` once a build failed
+        self.library: Optional[_Library] = None
 
     def after_fork(self) -> None:
         self.lock = threading.Lock()
-        if self.kernels is None:
+        if self.library is None:
             self.tried = False
 
 
@@ -198,24 +210,33 @@ def _library_path() -> Path:
     return library
 
 
-def _bind(library: ctypes.CDLL) -> Dict[int, RunKernel]:
-    release = library.runs_release
-    release.argtypes = (_P,)
-    release.restype = None
+def _bound(
+    library: ctypes.CDLL, name: str, restype: Any, argtypes: Any
+) -> Any:
+    function = getattr(library, name)
+    function.argtypes = argtypes
+    function.restype = restype
+    return function
+
+
+def _bind(library: ctypes.CDLL) -> _Library:
+    release = _bound(library, "runs_release", None, (_P,))
     kernels: Dict[int, RunKernel] = {}
     for width, suffix in _WIDTHS.items():
-        functions: Dict[str, Any] = {}
-        for name, (restype, argtypes) in _SIGNATURES.items():
-            function = getattr(library, f"runs_{name}_{suffix}")
-            function.argtypes = argtypes
-            function.restype = restype
-            functions[name] = function
+        functions = {
+            name: _bound(library, f"runs_{name}_{suffix}", *signature)
+            for name, signature in _SIGNATURES.items()
+        }
         kernels[width] = RunKernel(width, release=release, **functions)
-    return kernels
+    json_matrix = _bound(
+        library, "runs_json_matrix", _N, (ctypes.c_char_p, _N, _N, _P, _P)
+    )
+    return _Library(kernels, json_matrix)
 
 
-def run_kernel(table_dtype: np.dtype) -> Optional[RunKernel]:
-    """The kernel for a table dtype, or ``None`` without a compiler."""
+def _library() -> Optional[_Library]:
+    """The process's bound library, built or loaded on first use;
+    ``None`` (after one warning) without a compiler."""
     loader = _loader
     with loader.lock:
         if not loader.tried:
@@ -223,18 +244,64 @@ def run_kernel(table_dtype: np.dtype) -> Optional[RunKernel]:
             try:
                 # The lock exists to serialize this one-time build.
                 path = _library_path()  # reglint: disable=RL303
-                loader.kernels = _bind(ctypes.CDLL(str(path)))
+                loader.library = _bind(ctypes.CDLL(str(path)))
             except (OSError, subprocess.CalledProcessError) as error:
                 detail = getattr(error, "stderr", None) or str(error)
                 warnings.warn(
                     "the native run kernel could not be built, so the "
-                    "miner takes its legacy path and the RWave tables "
-                    f"are built with numpy: {detail.strip()}",
+                    "miner takes its legacy path, the RWave tables are "
+                    "built with numpy and request bodies are decoded "
+                    f"with json.loads: {detail.strip()}",
                     RuntimeWarning,
-                    stacklevel=3,
+                    stacklevel=4,
                 )
-        kernels = loader.kernels
-    return None if kernels is None else kernels[table_dtype.itemsize]
+        return loader.library
+
+
+def run_kernel(table_dtype: np.dtype) -> Optional[RunKernel]:
+    """The kernel for a table dtype, or ``None`` without a compiler."""
+    library = _library()
+    if library is None:
+        return None
+    return library.kernels[table_dtype.itemsize]
+
+
+#: ``read(text, start)``: the JSON matrix at ``text[start]`` and the
+#: offset just past it, or ``None`` when the reader declines the array.
+JsonMatrixReader = Callable[
+    [bytes, int], Optional[Tuple[NDArray[np.float64], int]]
+]
+
+
+def json_matrix_reader() -> Optional[JsonMatrixReader]:
+    """The compiled JSON matrix reader, or ``None`` without a compiler.
+
+    It reads the JSON array whose ``[`` is at ``text[start]`` when the
+    array is one or more equal-length rows of one or more JSON numbers,
+    into a float64 array bit-identical to ``np.asarray(json.loads(...),
+    dtype=np.float64)``.  It declines (``None``) any other array, an
+    integer of more than 15 digits and a float ``strtod`` does not read
+    exactly or in range; ``runs_json_matrix`` in ``_runs.c`` says how.
+    """
+    library = _library()
+    if library is None:
+        return None
+    return partial(_read_json, library.json_matrix)
+
+
+def _read_json(
+    json_matrix: Any, text: bytes, start: int
+) -> Optional[Tuple[NDArray[np.float64], int]]:
+    shape = (_N * 2)()
+    end = json_matrix(text, len(text), start, ctypes.addressof(shape), None)
+    if end < 0:
+        return None
+    values = np.empty((shape[0], shape[1]), dtype=np.float64)
+    if json_matrix(
+        text, len(text), start, ctypes.addressof(shape), values.ctypes.data
+    ) < 0:
+        return None  # a number strtod reads out of range
+    return values, int(end)
 
 
 def native_tables(

@@ -168,7 +168,9 @@ def delta_from_dict(payload: Dict[str, Any]) -> MatrixDelta:
         raise ValueError("delta must be a JSON object")
     kind = payload.get("kind")
     for key in ("names", "values", "genes"):
-        if not isinstance(payload.get(key, []), list):
+        # A request body's numeric rows arrive decoded as an ndarray.
+        kinds = (list, np.ndarray) if key == "values" else list
+        if not isinstance(payload.get(key, []), kinds):
             raise ValueError(f"delta {key!r} must be a list")
     if kind == AppendConditions.kind:
         return AppendConditions(

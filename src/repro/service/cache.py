@@ -25,8 +25,8 @@ lock, so HTTP threads and the execution worker can share an instance.
 
 Every execution path — the daemon's jobs and a fleet node's leases —
 obtains its index through :meth:`ArtifactCache.resolve`: cache hit,
-else a delta update of the parent matrix's index, else a cold build,
-storing whatever it built.
+else a delta update of the parent matrix's index (a gene-axis
+revision), else a cold build, storing whatever it built.
 """
 
 # The cache lock deliberately serializes artifact/manifest file I/O —
@@ -47,7 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.kernels import RegulationKernel
 from repro.core.rwave import RWaveIndex
-from repro.incremental.delta import MatrixDelta
+from repro.incremental.delta import AppendGenes, DropGenes, MatrixDelta
 from repro.incremental.update import update_index
 from repro.matrix.expression import ExpressionMatrix
 from repro.service.resilience import FaultKind, FaultPlan
@@ -374,29 +374,31 @@ class ArtifactCache:
         be obtained.
 
         Tries a cache hit, then — when ``lineage`` names the matrix's
-        ``(parent_digest, delta)`` — a delta update of the parent's
-        cached index (docs/incremental.md), then a cold build.  Whatever
-        was built is stored; the store is best-effort, so a failed write
-        (e.g. a full disk) still returns the index.
+        ``(parent_digest, delta)`` and the delta carries gene rows over
+        (``append_genes``, ``drop_genes``) — a delta update of the
+        parent's cached index (docs/incremental.md), then a cold build.
+        An ``append_conditions`` child is built cold without reading the
+        parent: every row gained values.  Whatever was built is stored;
+        the store is best-effort, so a failed write (e.g. a full disk)
+        still returns the index.
 
         Returns ``(index, build)``, ``build`` being ``"cached"``,
         ``"delta"`` (the update carried gene rows over from the parent)
-        or ``"cold"`` (every row computed fresh, including an
-        ``append_conditions`` update, which rebuilds the index).
+        or ``"cold"`` (every row computed fresh).
         """
         index = self.get_index(matrix_digest, gamma)
         if index is not None:
             return index, "cached"
         build = "cold"
-        if lineage is not None:
+        if lineage is not None and isinstance(
+            lineage[1], (AppendGenes, DropGenes)
+        ):
             parent_digest, delta = lineage
             parent = self.get_index(parent_digest, gamma)
             try:
                 if parent is not None:
-                    update = update_index(parent, matrix, delta)
-                    index = update.index
-                    if update.reused_models:
-                        build = "delta"
+                    index = update_index(parent, matrix, delta).index
+                    build = "delta"
             except (TypeError, ValueError):
                 pass  # the parent does not fit the lineage: build cold
         if index is None:

@@ -164,7 +164,9 @@ def shard_from_wire(payload: Mapping[str, Any]) -> ShardResult:
             str(key): float(value)
             for key, value in payload["stats"].items()
         }
-    except (AttributeError, KeyError, TypeError, ValueError) as error:
+    except (
+        AttributeError, IndexError, KeyError, TypeError, ValueError
+    ) as error:
         raise ValueError(f"malformed shard payload: {error}") from None
     return start, clusters, stats
 

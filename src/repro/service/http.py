@@ -132,8 +132,20 @@ __all__ = [
     "ServiceError",
     "ServiceBusy",
     "matrix_from_payload",
+    "matrix_payload",
     "serve",
 ]
+
+
+def matrix_payload(matrix: ExpressionMatrix) -> Dict[str, Any]:
+    """The inline ``matrix`` member of a POST body (the inverse of
+    :func:`matrix_from_payload`)."""
+    return {
+        "values": matrix.values.tolist(),
+        "gene_names": list(matrix.gene_names),
+        "condition_names": list(matrix.condition_names),
+    }
+
 
 #: The selector-based front door, under the name the rest of the code
 #: base (and downstream users) imported the threading server as.
@@ -387,11 +399,7 @@ class ServiceClient:
     ) -> Dict[str, Any]:
         """Submit inline matrix data; returns the job record dict."""
         body: Dict[str, Any] = {
-            "matrix": {
-                "values": [list(map(float, row)) for row in matrix.values],
-                "gene_names": list(matrix.gene_names),
-                "condition_names": list(matrix.condition_names),
-            },
+            "matrix": matrix_payload(matrix),
             "parameters": parameters,
         }
         if priority is not None:
@@ -562,11 +570,7 @@ class ServiceClient:
     ) -> Dict[str, Any]:
         """Submit a gamma/epsilon grid batch; returns the sweep dict."""
         body: Dict[str, Any] = {
-            "matrix": {
-                "values": [list(map(float, row)) for row in matrix.values],
-                "gene_names": list(matrix.gene_names),
-                "condition_names": list(matrix.condition_names),
-            },
+            "matrix": matrix_payload(matrix),
             "parameters": parameters,
             "gammas": [float(g) for g in gammas],
             "epsilons": [float(e) for e in epsilons],

@@ -38,14 +38,16 @@ Routes (see ``docs/service.md`` for payloads):
 from __future__ import annotations
 
 import json
+import json.scanner
 import re
 import time
 import urllib.parse
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.core._runs import JsonMatrixReader, json_matrix_reader
 from repro.incremental.delta import delta_from_dict
 from repro.matrix.expression import ExpressionMatrix
 from repro.matrix.io import parse_expression_text
@@ -62,6 +64,7 @@ __all__ = [
     "RequestError",
     "Response",
     "ServiceRouter",
+    "decode_body",
     "matrix_from_payload",
 ]
 
@@ -150,6 +153,44 @@ class Response:
         )
 
 
+#: The stdlib's scanner (its C one where built): what parses an array
+#: the native reader declines, from the array's ``[``.
+_scan_stdlib = json.JSONDecoder().scan_once
+
+
+class _BodyDecoder(json.JSONDecoder):
+    """Decodes one ASCII body: objects with the stdlib's ``JSONObject``,
+    arrays with the native matrix reader first, else the stdlib scanner
+    (ASCII, so the str offsets the scanner passes are byte offsets)."""
+
+    def __init__(self, body: bytes, read: JsonMatrixReader) -> None:
+        super().__init__()
+
+        def parse_array(state: Tuple[str, int], scan_once: Any) -> Any:
+            text, end = state  # ``end`` is just past the ``[``
+            return read(body, end - 1) or _scan_stdlib(text, end - 1)
+
+        self.parse_array = parse_array
+        self.scan_once = json.scanner.py_make_scanner(self)
+
+
+def decode_body(body: bytes) -> Any:
+    """The JSON value of a request body, as :func:`json.loads` gives it,
+    except that a rectangular array of numbers (a matrix's ``values``)
+    arrives as a float64 ndarray bit-identical to ``np.asarray(...,
+    dtype=np.float64)`` of the list.
+
+    Such arrays are read from the bytes by the compiled library
+    (:func:`repro.core._runs.json_matrix_reader`).  Without it, or for a
+    non-ASCII body, the whole body goes to :func:`json.loads`.  Raises
+    what :func:`json.loads` raises for a malformed body.
+    """
+    read = json_matrix_reader()
+    if read is None or not body.isascii():
+        return json.loads(body.decode("utf-8"))
+    return _BodyDecoder(body, read).decode(body.decode("ascii"))
+
+
 def matrix_from_payload(payload: Any) -> ExpressionMatrix:
     """Build a matrix from the ``matrix`` member of a POST body.
 
@@ -167,7 +208,7 @@ def matrix_from_payload(payload: Any) -> ExpressionMatrix:
             raise RequestError(400, "matrix 'text' must be a string")
         return parse_expression_text(payload["text"])
     names = [payload.get(key) for key in ("gene_names", "condition_names")]
-    if not isinstance(payload["values"], list) or not all(
+    if not isinstance(payload["values"], (list, np.ndarray)) or not all(
         name is None or isinstance(name, list) for name in names
     ):
         raise RequestError(
@@ -207,9 +248,11 @@ class ServiceRouter:
         if not request.body:
             raise RequestError(400, "request body required")
         try:
-            payload = json.loads(request.body.decode("utf-8"))
+            payload = decode_body(request.body)
         except (json.JSONDecodeError, UnicodeDecodeError):
             raise RequestError(400, "request body is not valid JSON")
+        except RecursionError:
+            raise RequestError(400, "request body is nested too deeply")
         if not isinstance(payload, dict):
             raise RequestError(400, "request body must be a JSON object")
         return payload

@@ -639,6 +639,23 @@ class TestFleetService:
             assert response.status == 400
             assert b"indexes must be a list" in response.body
 
+    def test_complete_with_number_rows_for_clusters_is_400(self, tmp_path):
+        # The body decoder hands a rectangular array of numbers over as an
+        # ndarray; indexing one of its rows by a key is still a malformed
+        # payload, not a 500.
+        from repro.service.router import Request, ServiceRouter
+
+        router = ServiceRouter(MiningService(tmp_path / "store", fleet=True))
+        body = json.dumps({
+            "job_id": "job-x", "lease_id": "lease-x", "node_id": "node-a",
+            "shard": 0, "start": 0, "clusters": [[1, 2]], "stats": {},
+        })
+        response = router.handle(
+            Request("POST", "/fleet/complete", body=body.encode())
+        )
+        assert response.status == 400
+        assert b"malformed shard payload" in response.body
+
     def test_artifact_endpoints_serve_by_digest(
         self, tmp_path, running_example, paper_params
     ):

@@ -273,6 +273,41 @@ class TestErrors:
         assert response.status == 400
         assert json.loads(response.body)["error"]
 
+    @pytest.mark.parametrize(
+        "body",
+        [b"[" * 100_000, b'{"a": ' * 5_000 + b"1" + b"}" * 5_000],
+        ids=["arrays", "objects"],
+    )
+    def test_deeply_nested_body_is_400(self, tmp_path, body):
+        # Past the recursion limit the decoder cannot go on; that is
+        # the client's error, not a 500 the client retries.
+        from repro.service import router as routing
+
+        handler = routing.ServiceRouter(MiningService(tmp_path / "store"))
+        response = handler.handle(routing.Request("POST", "/jobs", body=body))
+        assert response.status == 400
+        assert json.loads(response.body) == {
+            "error": "request body is nested too deeply"
+        }
+
+
+class TestClientEncoding:
+    def test_matrix_payload_bytes_match_the_per_row_encoding(self):
+        # Full-precision values: the client must send the same JSON bytes
+        # a per-row float() conversion does.
+        from repro.datasets.synthetic import make_synthetic_dataset
+        from repro.service.http import matrix_payload
+
+        matrix = make_synthetic_dataset(
+            n_genes=300, n_conditions=12, n_clusters=30, seed=9
+        ).matrix
+        per_row = {
+            "values": [list(map(float, row)) for row in matrix.values],
+            "gene_names": list(matrix.gene_names),
+            "condition_names": list(matrix.condition_names),
+        }
+        assert json.dumps(matrix_payload(matrix)) == json.dumps(per_row)
+
 
 class TestClientRetry:
     def test_retries_connection_refused_until_the_daemon_is_up(

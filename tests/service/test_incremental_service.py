@@ -142,7 +142,8 @@ class TestRevisionJobs:
 
         Its index build says whether the update carried the parent's
         gene rows over: an ``append_conditions`` update carries none
-        (every row gained values), so it is a cold build, counted once.
+        (every row gained values), so it is a cold build, counted once,
+        that never reads the parent's index.
         """
         parent = service.submit(matrix, PARAMS)
         run_done(service, parent)
@@ -160,6 +161,10 @@ class TestRevisionJobs:
         # The parent's own job built its index cold.
         assert builds == (
             {"cold": "2"} if build == "cold" else {"cold": "1", "delta": "1"}
+        )
+        # Only a gene-axis update reads (hits) the parent's index.
+        assert service.cache.stats.as_dict()["index_hits"] == (
+            0 if build == "cold" else 1
         )
         assert_bit_identical(
             service.result(record.job_id),
