@@ -78,11 +78,11 @@ LOAD_DURATION ?= 3
 load-smoke:
 	PYTHONPATH=src LOAD_CLIENTS=$(LOAD_CLIENTS) LOAD_DURATION=$(LOAD_DURATION) $(PYTHON) scripts/load_smoke.py
 
-# Delta-aware counterpart of serve-smoke: mine a base matrix, run an
-# append_genes revision (its index must be delta-updated) and an
-# append_conditions revision (a cold index build), each bit-identical
-# to a from-scratch mine — then a 2x2 sweep that must build exactly one
-# cold index per gamma (docs/incremental.md).
+# Revision counterpart of serve-smoke: mine a base matrix, run an
+# append_genes and an append_conditions revision (ordinary jobs on the
+# child matrix, each index built cold), each bit-identical to a
+# from-scratch mine — then a 2x2 sweep that must build exactly one cold
+# index per gamma (docs/incremental.md).
 incremental-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/incremental_smoke.py
 

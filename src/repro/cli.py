@@ -29,8 +29,8 @@ Subcommands
     Submit a matrix to a running daemon (optionally wait for the result).
 ``evolve``
     Evolve a stored matrix on a running daemon by one typed delta
-    (append conditions/genes, drop genes) and mine the child, its
-    index delta-updated from the parent's (docs/incremental.md).
+    (append conditions/genes, drop genes) and mine the child as an
+    ordinary job, its index cached or built cold (docs/incremental.md).
 ``status``
     Query a job on a running daemon.
 ``trace``
@@ -343,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     evolve = sub.add_parser(
         "evolve",
-        help="evolve a stored matrix by one delta and mine the child, "
-        "delta-updating the parent's index (docs/incremental.md)",
+        help="evolve a stored matrix by one delta and mine the child "
+        "as an ordinary job (docs/incremental.md)",
     )
     evolve.add_argument(
         "parent_digest",
@@ -900,8 +900,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
         print(f"phase.{key}: {seconds:.3f}s")
     print(f"parameters: {record.get('parameters')}")
     if args.stats:
-        # Whether the index came from cache, a delta update of the
-        # parent's (docs/incremental.md), or a cold build.
+        # Whether the index came from the artifact cache or a cold build.
         if record.get("index_build") is not None:
             print(f"reuse.index_build: {record['index_build']}")
         # Per-shard provenance: which node (or "local"/"checkpoint")

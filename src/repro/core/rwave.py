@@ -463,6 +463,8 @@ class RWaveIndex:
         # a no-op unless contracts are enabled for the process.
         maybe_check_rwave_index(self)
 
+    # Kept for perfbench/layers.py (through update_index); no job path
+    # assembles an index from parts.
     @classmethod
     def from_parts(
         cls,
@@ -474,14 +476,13 @@ class RWaveIndex:
     ) -> "RWaveIndex":
         """Assemble an index from prebuilt tables.
 
-        The delta-update seam (:mod:`repro.incremental.update`): a
-        revision that appends or drops genes leaves the surviving
-        genes' rows — and therefore their table rows — untouched, so an
-        updated index splices or slices them instead of re-sorting
-        every gene.  The caller guarantees the parts belong to
-        ``(matrix, gamma)``; the same debug-mode Lemma 3.1 contract hook
-        as the cold constructor re-checks them when contracts are
-        enabled.
+        The delta-update seam of :func:`repro.incremental.update_index`:
+        appending or dropping genes leaves the surviving genes' table
+        rows untouched, so an updated index splices or slices them
+        instead of re-sorting every gene.  The caller guarantees the
+        parts belong to ``(matrix, gamma)``; the same debug-mode Lemma
+        3.1 contract hook as the cold constructor re-checks them when
+        contracts are enabled.
         """
         index = cls.__new__(cls)
         index._assign(matrix, gamma, thresholds)

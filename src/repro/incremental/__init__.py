@@ -1,26 +1,21 @@
-"""repro.incremental — delta-aware mining over evolving matrices.
+"""repro.incremental — evolving matrices and parameter sweeps.
 
 Expression compendia grow: new arrays (conditions) and genes arrive
 over time, and analysts sweep gamma/epsilon grids over one matrix.
-This package makes the (matrix, parameters) -> clusters computation a
-reusable, delta-updatable artifact instead of a from-scratch job:
 
-* typed matrix deltas and the :class:`MatrixRevision` lineage model
-  (:mod:`repro.incremental.delta`), persisted content-addressed by the
-  :class:`RevisionStore` (:mod:`repro.incremental.lineage`);
-* incremental maintenance of the RWave^gamma index — only the rows of
-  new genes are computed, proven bit-identical to a cold build
-  (:mod:`repro.incremental.update`, which also keeps the benchmark's
-  packed-bit kernel update);
-* the :class:`DirtyShardPlanner`, which maps a delta to the shards
-  whose mining inputs actually changed (:mod:`repro.incremental.planner`;
-  kept for the benchmark's layer replay — a revision job mines every
-  shard);
+* typed matrix deltas, :func:`apply_delta` and the
+  :class:`MatrixRevision` edge a revision request reports
+  (:mod:`repro.incremental.delta`): a revision derives a child matrix,
+  which is mined as an ordinary job;
 * batched gamma/epsilon parameter sweeps that build each (matrix,
   gamma) index once (:mod:`repro.incremental.sweep`).
 
-See ``docs/incremental.md`` for the lineage model, what a revision job
-does, and the sweep API.
+:mod:`repro.incremental.update` (delta updates of the index and the
+kernel) and :mod:`repro.incremental.planner` (the dirty-shard planner)
+are on no job path; the benchmark's layer replay still times them.
+
+See ``docs/incremental.md`` for what a revision job does and the sweep
+API.
 """
 
 from repro.incremental.delta import (
@@ -33,7 +28,6 @@ from repro.incremental.delta import (
     delta_from_dict,
     delta_to_dict,
 )
-from repro.incremental.lineage import RevisionStore
 # Kept for perfbench/layers.py (DirtyShardPlanner); no job path plans.
 from repro.incremental.planner import DirtyShardPlanner, RevisionPlan
 from repro.incremental.sweep import (
@@ -44,6 +38,8 @@ from repro.incremental.sweep import (
     compute_sweep_id,
     expand_grid,
 )
+# Kept for perfbench/layers.py (update_index, update_kernel); no job
+# path updates an index or a kernel.
 from repro.incremental.update import (
     IndexUpdate,
     KernelUpdate,
@@ -62,7 +58,6 @@ __all__ = [
     "MatrixRevision",
     "MAX_SWEEP_POINTS",
     "RevisionPlan",
-    "RevisionStore",
     "SweepBatch",
     "SweepPoint",
     "SweepStore",

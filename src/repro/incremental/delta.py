@@ -1,4 +1,4 @@
-"""Typed matrix deltas and the revision lineage model.
+"""Typed matrix deltas and the revision lineage edge.
 
 A *delta* is the difference between two matrix revisions, restricted to
 the three shapes real compendia grow by:
@@ -14,15 +14,7 @@ the three shapes real compendia grow by:
     remaining rows keep their relative order.
 
 Conditions are never dropped or reordered and existing cells are never
-edited — those would invalidate every per-gene structure at once, so
-they are modeled as a fresh matrix, not a revision.  Within these
-shapes the downstream machinery can reason precisely about what a
-delta *cannot* have changed: appended values inside a gene's existing
-``[min, max]`` leave its Eq. 4 threshold — and therefore every packed
-regulation bit among old condition pairs — bit-identical
-(:mod:`repro.incremental.update`), and condition-graph reachability
-bounds which mining shards the delta can influence at all
-(:mod:`repro.incremental.planner`).
+edited — such a change is modeled as a fresh matrix, not a revision.
 
 A :class:`MatrixRevision` binds a delta to its parent and child matrix
 content digests; the child digest is derived by *applying* the delta,
@@ -247,14 +239,15 @@ def apply_delta(
 
 @dataclass(frozen=True)
 class MatrixRevision:
-    """One edge of the matrix lineage graph: parent --delta--> child.
+    """One edge of the matrix lineage: parent --delta--> child, as a
+    revision request's response reports it (it is not stored).
 
     Both endpoints are content digests
-    (:func:`repro.matrix.summary.matrix_digest`), so lineage is
-    content-addressed: the child digest is *derived* by applying the
-    delta, never supplied, and a no-op delta — which would make the
-    child alias its parent — is structurally impossible (every delta
-    kind changes the matrix shape or membership).
+    (:func:`repro.matrix.summary.matrix_digest`): the child digest is
+    *derived* by applying the delta, never supplied, and a no-op delta —
+    which would make the child alias its parent — is structurally
+    impossible (every delta kind changes the matrix shape or
+    membership).
     """
 
     parent_digest: str
@@ -267,11 +260,6 @@ class MatrixRevision:
             raise ValueError(
                 "a revision cannot alias its parent (no-op delta)"
             )
-        delta_from_dict(self.delta)  # validate the stored form
-
-    def typed_delta(self) -> MatrixDelta:
-        """The revision's delta as its typed form."""
-        return delta_from_dict(self.delta)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -281,17 +269,3 @@ class MatrixRevision:
             "delta": dict(self.delta),
             "created_at": self.created_at,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "MatrixRevision":
-        if payload.get("format") != REVISION_FORMAT:
-            raise ValueError(
-                f"unsupported revision format {payload.get('format')!r}; "
-                f"expected {REVISION_FORMAT!r}"
-            )
-        return cls(
-            parent_digest=str(payload["parent_digest"]),
-            child_digest=str(payload["child_digest"]),
-            delta=dict(payload["delta"]),
-            created_at=float(payload["created_at"]),
-        )

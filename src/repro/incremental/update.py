@@ -1,10 +1,10 @@
 """Incremental maintenance of the RWave^gamma index and the kernel.
 
-The service delta-updates the index (:func:`update_index`): it is the
-one artifact a job mines from.  :func:`update_kernel` is kept for the
-benchmark's layer replay; no job path calls it.  Both are per-gene
-structures over float comparisons, which makes delta updates exact
-rather than approximate:
+No job path calls :func:`update_index` or :func:`update_kernel`: a job
+obtains its index from the artifact cache or builds it cold.  Both are
+kept for the benchmark's layer replay, which times them.  Both are
+per-gene structures over float comparisons, which makes delta updates
+exact rather than approximate:
 
 * **Kernel** (:class:`~repro.core.kernels.RegulationKernel`): the
   packed tensor holds one independent ``(C, ceil(C/8))`` plane per
@@ -70,6 +70,7 @@ class KernelUpdate:
     rebuilt_planes: int
 
 
+# Kept for perfbench/layers.py, with update_index.
 @dataclass(frozen=True)
 class IndexUpdate:
     """A delta-updated index plus its reuse accounting."""
@@ -237,6 +238,7 @@ def update_kernel(
     )
 
 
+# Kept for perfbench/layers.py, which times it; no job path calls it.
 def update_index(
     parent_index: RWaveIndex,
     child_matrix: ExpressionMatrix,

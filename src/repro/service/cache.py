@@ -24,9 +24,8 @@ evicting least-recently-used entries.  Everything is guarded by one
 lock, so HTTP threads and the execution worker can share an instance.
 
 Every execution path — the daemon's jobs and a fleet node's leases —
-obtains its index through :meth:`ArtifactCache.resolve`: cache hit,
-else a delta update of the parent matrix's index (a gene-axis
-revision), else a cold build, storing whatever it built.
+obtains its index through :meth:`ArtifactCache.resolve`: a cache hit,
+else a cold build, which it stores.
 """
 
 # The cache lock deliberately serializes artifact/manifest file I/O —
@@ -47,8 +46,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.kernels import RegulationKernel
 from repro.core.rwave import RWaveIndex
-from repro.incremental.delta import AppendGenes, DropGenes, MatrixDelta
-from repro.incremental.update import update_index
 from repro.matrix.expression import ExpressionMatrix
 from repro.service.resilience import FaultKind, FaultPlan
 
@@ -56,14 +53,8 @@ __all__ = [
     "ArtifactCache",
     "CacheStats",
     "DEFAULT_MAX_BYTES",
-    "Lineage",
     "index_cache_key",
 ]
-
-#: A revised matrix's ``(parent_digest, delta)`` — what
-#: :meth:`ArtifactCache.resolve` needs to delta-update the parent's
-#: cached index instead of building cold.
-Lineage = Tuple[str, MatrixDelta]
 
 #: Default size bound: an index pickles to about three times its
 #: matrix's float bytes (about 8 MB at 8000x40, 1.2 MB for the 2884x17
@@ -363,51 +354,24 @@ class ArtifactCache:
         self._put_pickled("kernel", matrix_digest, gamma, kernel)
 
     def resolve(
-        self,
-        matrix_digest: str,
-        gamma: float,
-        matrix: ExpressionMatrix,
-        *,
-        lineage: Optional[Lineage] = None,
+        self, matrix_digest: str, gamma: float, matrix: ExpressionMatrix
     ) -> Tuple[RWaveIndex, str]:
-        """The RWave^gamma index of (digest, gamma), however it has to
-        be obtained.
+        """The RWave^gamma index of (digest, gamma): a cache hit, else a
+        cold build that is stored.  The store is best-effort, so a
+        failed write (e.g. a full disk) still returns the index.
 
-        Tries a cache hit, then — when ``lineage`` names the matrix's
-        ``(parent_digest, delta)`` and the delta carries gene rows over
-        (``append_genes``, ``drop_genes``) — a delta update of the
-        parent's cached index (docs/incremental.md), then a cold build.
-        An ``append_conditions`` child is built cold without reading the
-        parent: every row gained values.  Whatever was built is stored;
-        the store is best-effort, so a failed write (e.g. a full disk)
-        still returns the index.
-
-        Returns ``(index, build)``, ``build`` being ``"cached"``,
-        ``"delta"`` (the update carried gene rows over from the parent)
-        or ``"cold"`` (every row computed fresh).
+        Returns ``(index, build)``, ``build`` being ``"cached"`` or
+        ``"cold"``.
         """
         index = self.get_index(matrix_digest, gamma)
         if index is not None:
             return index, "cached"
-        build = "cold"
-        if lineage is not None and isinstance(
-            lineage[1], (AppendGenes, DropGenes)
-        ):
-            parent_digest, delta = lineage
-            parent = self.get_index(parent_digest, gamma)
-            try:
-                if parent is not None:
-                    index = update_index(parent, matrix, delta).index
-                    build = "delta"
-            except (TypeError, ValueError):
-                pass  # the parent does not fit the lineage: build cold
-        if index is None:
-            index = RWaveIndex(matrix, gamma)
+        index = RWaveIndex(matrix, gamma)
         try:
             self.put_index(matrix_digest, gamma, index)
         except OSError:
             pass  # best-effort: the in-memory index still serves
-        return index, build
+        return index, "cold"
 
     def index_keys(self) -> List[str]:
         """Cache keys of every index artifact currently held.
@@ -453,10 +417,8 @@ class ArtifactCache:
     def drop_artifact(self, key: str) -> None:
         """Evict one artifact by cache key (no-op when absent).
 
-        Safe on any key — including a parent whose delta-derived
-        children are still cached: a child index is self-contained, so
-        dropping the parent only costs the next revision a cold build,
-        never correctness.
+        Safe on any key: every artifact is self-contained, so dropping
+        one only costs its next user a rebuild, never correctness.
         """
         with self._lock:
             entry = self._manifest.pop(key, None)

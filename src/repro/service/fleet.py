@@ -476,11 +476,16 @@ class FleetState:
             raise ValueError(
                 f"malformed complete payload: {error}"
             ) from None
+        raw_spans = payload.get("spans")
+        if raw_spans is not None and not isinstance(raw_spans, list):
+            raise ValueError(
+                "malformed complete payload: spans must be a list"
+            )
         shard: Optional[ShardResult] = None
         if status == "ok":
             shard = shard_from_wire(payload)  # parse outside the lock
         spans: List[Dict[str, Any]] = []
-        for span in payload.get("spans") or []:
+        for span in raw_spans or []:
             if isinstance(span, dict):
                 attrs = span.setdefault("attributes", {})
                 if isinstance(attrs, dict):

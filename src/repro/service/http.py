@@ -45,9 +45,9 @@ Endpoints
 Incremental endpoints (``docs/incremental.md``):
 
 ``POST /matrices/<digest>/revisions``
-    Record a typed delta (``append_conditions`` / ``append_genes`` /
-    ``drop_genes``) against a stored matrix and submit the delta-aware
-    child job.  Body: ``{"delta": {...}, "parameters": {...}}``;
+    Apply a typed delta (``append_conditions`` / ``append_genes`` /
+    ``drop_genes``) to a stored matrix and submit the child matrix as
+    an ordinary job.  Body: ``{"delta": {...}, "parameters": {...}}``;
     responds ``{"revision": {...}, "job": {...}}``.
 ``POST /sweeps``
     Submit a gamma/epsilon grid over one matrix as a batch.  Body:

@@ -212,9 +212,9 @@ class JobRecord:
     #: never part of the job identity
     tenant: Optional[str] = None
     #: how this job's RWave index was obtained: ``cached`` (artifact
-    #: cache), ``delta`` (incrementally updated from the parent's
-    #: index), or ``cold`` (built from scratch); ``None`` until
-    #: acquisition
+    #: cache) or ``cold`` (built from scratch); ``None`` until
+    #: acquisition.  Records of earlier versions may say ``delta``
+    #: (updated from the parent matrix's index) and load as they are.
     index_build: Optional[str] = None
     #: the sweep batch this job was submitted under (``None`` for
     #: individually submitted jobs)

@@ -28,8 +28,8 @@ Routes (see ``docs/service.md`` for payloads):
 * ``POST /fleet/lease|complete|heartbeat``, ``GET /fleet/status``,
   ``GET /artifacts/...`` — the distributed work queue
   (``docs/distributed.md``; 404 unless the daemon runs ``--fleet``).
-* ``POST /matrices/<digest>/revisions`` — record a typed delta against
-  a stored matrix and submit the delta-aware child job
+* ``POST /matrices/<digest>/revisions`` — apply a typed delta to a
+  stored matrix and submit the child as an ordinary job
   (``docs/incremental.md``).
 * ``POST /sweeps``, ``GET /sweeps[/<id>[/results]]`` — batched
   gamma/epsilon parameter sweeps over one matrix.
@@ -377,10 +377,17 @@ class ServiceRouter:
         if not isinstance(indexes, list):
             raise RequestError(400, "indexes must be a list of cache keys")
         max_shards = body.get("max_shards")
+        if max_shards is not None:
+            try:
+                max_shards = int(max_shards)
+            except (TypeError, ValueError, OverflowError):
+                raise RequestError(
+                    400, "max_shards must be an integer"
+                ) from None
         lease = fleet.lease(
             node_id,
             indexes=[str(key) for key in indexes],
-            max_shards=None if max_shards is None else int(max_shards),
+            max_shards=max_shards,
         )
         return Response.json(200, {"lease": lease})
 

@@ -64,7 +64,6 @@ from repro.incremental.delta import (
     apply_delta,
     delta_to_dict,
 )
-from repro.incremental.lineage import RevisionStore
 from repro.incremental.sweep import (
     SweepBatch,
     SweepPoint,
@@ -227,10 +226,6 @@ class MiningService:
             self.metrics.register_collector(self._collect_fleet_metrics)
         self._matrix_dir = self.store_dir / "matrices"
         self._matrix_dir.mkdir(parents=True, exist_ok=True)
-        #: matrix lineage: one revision record per evolved matrix, so
-        #: a job on a child digest can delta-update its parent's index
-        #: (docs/incremental.md)
-        self.revisions = RevisionStore(self.store_dir / "revisions")
         #: submitted parameter-sweep batches (grid -> ordinary job ids)
         self.sweeps = SweepStore(self.store_dir / "sweeps")
         #: weighted-fair submission queue: high/normal/low classes
@@ -322,8 +317,7 @@ class MiningService:
         self._m_inc_index_builds = registry.counter(
             "repro_incremental_index_builds_total",
             "RWave^gamma index acquisitions by mode: artifact-cache hit "
-            "(cached), delta-updated from the parent matrix's index "
-            "(delta), or built from scratch (cold).",
+            "(cached) or built from scratch (cold).",
             labelnames=("mode",),
         )
         self._m_inc_sweeps = registry.counter(
@@ -613,11 +607,10 @@ class MiningService:
         """Evolve a stored matrix by one delta and mine the child.
 
         The child matrix is derived by applying ``delta`` to the stored
-        parent, persisted content-addressed, and the lineage edge is
-        recorded — then the child is submitted as an ordinary job.  The
-        job's only lineage-aware step is its index: when the child's is
-        not cached, the parent's cached index is delta-updated instead
-        of building cold (docs/incremental.md).
+        parent and submitted as an ordinary job: nothing downstream
+        knows it is a revision (docs/incremental.md).  The returned
+        :class:`MatrixRevision` is the response's lineage edge; it is
+        not stored.
 
         Raises :class:`KeyError` when ``parent_digest`` is not stored
         and :class:`ValueError` when the delta does not fit the parent.
@@ -631,7 +624,6 @@ class MiningService:
             delta=delta_to_dict(delta),
             created_at=time.time(),
         )
-        self.revisions.save(revision)
         self._m_inc_revisions.labels(delta=delta.kind).inc()
         _LOG.info(
             "revision.accepted",
@@ -664,14 +656,17 @@ class MiningService:
         ``repro_incremental_index_builds_total`` metric family.
         """
         grid = expand_grid(gammas, epsilons)
+        # Every point's parameters are validated before the first
+        # submit, so a grid with one bad point queues nothing.
+        grid_params = [
+            base_params.with_overrides(gamma=gamma, epsilon=epsilon)
+            for gamma, epsilon in grid
+        ]
         digest = matrix_digest(matrix)
         base = parameters_to_dict(base_params)
         sweep_id = compute_sweep_id(digest, base, gammas, epsilons)
         points = []
-        for gamma, epsilon in grid:  # reglint: disable=RL106
-            point_params = base_params.with_overrides(
-                gamma=gamma, epsilon=epsilon
-            )
+        for (gamma, epsilon), point_params in zip(grid, grid_params):
             record = self.submit(
                 matrix, point_params, priority=priority, tenant=tenant
             )
@@ -1076,20 +1071,13 @@ class MiningService:
         params = parameters_from_dict(record.parameters)
 
         # 2. The RWave^gamma index, keyed by (digest, gamma): a cache
-        #    hit, a delta update of the parent's index when the matrix
-        #    is a revision (docs/incremental.md), or a cold build.
-        #    Whatever is built is stored, so the next job on this matrix
-        #    (or a revision of it) starts warm.  It is the one artifact
-        #    every shard driver mines from, and the only step of a job
-        #    that knows about lineage.
+        #    hit or a cold build, which is stored so the next job on
+        #    this matrix and gamma starts warm.  It is the one artifact
+        #    every shard driver mines from.
         digest = record.matrix_digest
-        revision = self.revisions.get(digest)
         with tracer.span("index", parent=root) as span:
             index, index_build = self.cache.resolve(
-                digest, params.gamma, matrix,
-                lineage=None if revision is None else (
-                    revision.parent_digest, revision.typed_delta()
-                ),
+                digest, params.gamma, matrix
             )
             span.set_attributes(
                 {"cache_hit": index_build == "cached", "build": index_build}

@@ -1,4 +1,4 @@
-"""Typed deltas, apply_delta, and the revision lineage store."""
+"""Typed deltas, apply_delta, and the revision lineage edge."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.incremental import (
     AppendGenes,
     DropGenes,
     MatrixRevision,
-    RevisionStore,
     apply_delta,
     delta_from_dict,
     delta_to_dict,
@@ -114,40 +113,7 @@ class TestApplyDelta:
             )
 
 
-class TestRevisionStore:
-    def _revision(self, base_matrix) -> MatrixRevision:
-        delta = AppendGenes(
-            names=("gX",), values=np.zeros((1, base_matrix.n_conditions))
-        )
-        child = apply_delta(base_matrix, delta)
-        return MatrixRevision(
-            parent_digest=matrix_digest(base_matrix),
-            child_digest=matrix_digest(child),
-            delta=delta_to_dict(delta),
-            created_at=1.0,
-        )
-
-    def test_round_trip(self, tmp_path, base_matrix):
-        store = RevisionStore(tmp_path / "revisions")
-        revision = self._revision(base_matrix)
-        store.save(revision)
-        again = store.get(revision.child_digest)
-        assert again is not None
-        assert again.to_dict() == revision.to_dict()
-
-    def test_unknown_digest_is_none(self, tmp_path):
-        store = RevisionStore(tmp_path / "revisions")
-        assert store.get("0" * 64) is None
-
-    def test_children_of(self, tmp_path, base_matrix):
-        store = RevisionStore(tmp_path / "revisions")
-        revision = self._revision(base_matrix)
-        store.save(revision)
-        assert [
-            r.child_digest for r in store.children_of(revision.parent_digest)
-        ] == [revision.child_digest]
-        assert store.children_of(revision.child_digest) == []
-
+class TestMatrixRevision:
     def test_no_op_revision_rejected(self, base_matrix):
         digest = matrix_digest(base_matrix)
         with pytest.raises(ValueError, match="alias"):

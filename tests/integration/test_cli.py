@@ -414,11 +414,11 @@ class TestServiceSubcommands:
         assert main(["evolve", digest, "--drop-genes", "g2", "--url",
                      daemon, "--wait", *params]) == 0
         out = capsys.readouterr().out
-        assert out.splitlines()[-1] == "index build: delta"
+        assert out.splitlines()[-1] == "index build: cold"
         child_job = out.splitlines()[-2].split()[1]
         assert main(["status", child_job, "--url", daemon, "--stats"]) == 0
         detail = capsys.readouterr().out
-        assert "reuse.index_build: delta" in detail
+        assert "reuse.index_build: cold" in detail
         assert "shards_reused" not in detail and "parent_job" not in detail
 
     def test_status_without_stats_omits_statistics(self, daemon,

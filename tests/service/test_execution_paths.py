@@ -12,9 +12,8 @@ runs with kernel construction made to raise.
 
 Inputs have 7, 8 and 9 conditions and carry one constant gene.  Job
 kinds: a fresh job, a job resumed after a zero-retry crash degraded it,
-and revision jobs (``append_genes`` and ``append_conditions``), which
-mine every shard like a fresh job and differ only in how they obtain
-their index.
+and revision jobs (``append_genes``, ``drop_genes`` and
+``append_conditions``), which are fresh jobs on the child matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +29,12 @@ from repro.core.params import MiningParameters
 from repro.core.serialize import cluster_from_dict, result_to_dict
 from repro.core.validate import validation_errors
 from repro.datasets.synthetic import make_synthetic_dataset
-from repro.incremental import AppendConditions, AppendGenes, apply_delta
+from repro.incremental import (
+    AppendConditions,
+    AppendGenes,
+    DropGenes,
+    apply_delta,
+)
 from repro.matrix.expression import ExpressionMatrix
 from repro.matrix.summary import matrix_digest
 from repro.obs.trace import load_spans
@@ -170,25 +174,24 @@ def test_resumed_job(tmp_path, matrix):
 
 
 def test_revision_job(tmp_path, matrix):
-    """A revision job is an ordinary job on the child matrix: it mines
-    every shard locally and returns the scratch clusters and search
-    statistics.  Only its index differs: delta-updated from the
-    parent's for a gene-axis delta, rebuilt cold when conditions are
-    appended."""
+    """A revision job is an ordinary job on the child matrix: it builds
+    the child's index cold, mines every shard locally and returns the
+    scratch clusters and search statistics, whatever the delta kind."""
     rng = np.random.default_rng(matrix.n_conditions)
-    deltas = {
-        "delta": AppendGenes(
+    deltas = [
+        AppendGenes(
             names=("flat",), values=np.full((1, matrix.n_conditions), 5.0)
         ),
-        "cold": AppendConditions(
+        DropGenes(genes=(matrix.gene_names[0],)),
+        AppendConditions(
             names=("new",), values=rng.uniform(0, 10, (1, matrix.n_genes))
         ),
-    }
-    for build, delta in deltas.items():
+    ]
+    for delta in deltas:
         child = apply_delta(matrix, delta)
         observed = {}
         for path in PATHS:
-            root = tmp_path / build
+            root = tmp_path / delta.kind
             service = daemon(root, path)
             parent = service.submit(matrix, PARAMS)
             service.run_pending()
@@ -201,7 +204,7 @@ def test_revision_job(tmp_path, matrix):
         assert_paths_agree(observed, child)
         n = child.n_conditions
         fleet = observed["fleet"]
-        assert fleet["index_build"] == build
+        assert fleet["index_build"] == "cold"
         assert fleet["resumed_shards"] is None
         assert fleet["shard_provenance"] == {
             str(s): {"node": "local", "attempts": 1} for s in range(n)

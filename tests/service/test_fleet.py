@@ -656,6 +656,39 @@ class TestFleetService:
         assert response.status == 400
         assert b"malformed shard payload" in response.body
 
+    @pytest.mark.parametrize(
+        "path, member",
+        [
+            ("/fleet/lease", '"max_shards": [[1, 2]]'),
+            ("/fleet/lease", '"max_shards": {"a": 1}'),
+            ("/fleet/lease", '"max_shards": 1e400'),
+            ("/fleet/complete", '"spans": 5'),
+            ("/fleet/complete", '"spans": true'),
+        ],
+        ids=[
+            "max_shards-number-rows", "max_shards-object",
+            "max_shards-overflow", "spans-number", "spans-true",
+        ],
+    )
+    def test_wrongly_typed_lease_or_completion_member_is_400(
+        self, tmp_path, path, member
+    ):
+        # ``[[1, 2]]`` reaches the handler as an ndarray and ``1e400`` as
+        # an infinite float: neither may escape the router as a 500.
+        from repro.service.router import Request, ServiceRouter
+
+        router = ServiceRouter(MiningService(tmp_path / "store", fleet=True))
+        body = (
+            '{"node_id": "node-a", "job_id": "job-x", "lease_id": "lease-x",'
+            ' "shard": 0, "status": "failed", ' + member + "}"
+        )
+        response = router.handle(
+            Request("POST", path, body=body.encode())
+        )
+        assert response.status == 400
+        name = member.split('"')[1]
+        assert name.encode() in response.body
+
     def test_artifact_endpoints_serve_by_digest(
         self, tmp_path, running_example, paper_params
     ):

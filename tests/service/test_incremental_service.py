@@ -1,4 +1,8 @@
-"""Service-level incremental mining: revisions, index deltas, sweeps."""
+"""Service-level incremental mining: revision jobs and sweeps.
+
+A revision job is an ordinary job on the child matrix: its index is a
+cache hit or a cold build, and its result equals a scratch mine.
+"""
 
 from __future__ import annotations
 
@@ -81,9 +85,9 @@ class TestRevisionJobs:
             matrix_digest(matrix), delta, PARAMS
         )
         done = run_done(service, record)
-        # The index carries every parent gene row over, and the job
-        # mines exactly what mining the child from scratch does.
-        assert done.index_build == "delta"
+        # The child's index is built cold, and the job mines exactly
+        # what mining the child from scratch does.
+        assert done.index_build == "cold"
         assert_bit_identical(
             service.result(record.job_id),
             scratch_payload(tmp_path, apply_delta(matrix, delta)),
@@ -111,39 +115,29 @@ class TestRevisionJobs:
         )
 
     @pytest.mark.parametrize(
-        "make_delta, build",
+        "make_delta",
         [
-            (
-                lambda m: AppendConditions(
-                    names=("n1",),
-                    values=np.random.default_rng(1).uniform(
-                        0, 10, size=(1, m.n_genes)
-                    ),
+            lambda m: AppendConditions(
+                names=("n1",),
+                values=np.random.default_rng(1).uniform(
+                    0, 10, size=(1, m.n_genes)
                 ),
-                "cold",
             ),
-            (
-                lambda m: AppendGenes(
-                    names=("gA",),
-                    values=bimodal_matrix(
-                        1, m.n_conditions, seed=21
-                    ).values,
-                ),
-                "delta",
+            lambda m: AppendGenes(
+                names=("gA",),
+                values=bimodal_matrix(1, m.n_conditions, seed=21).values,
             ),
-            (lambda m: DropGenes(genes=(m.gene_names[3],)), "delta"),
+            lambda m: DropGenes(genes=(m.gene_names[3],)),
         ],
         ids=["append_conditions", "append_genes", "drop_genes"],
     )
     def test_stitched_result_bit_identical_to_scratch(
-        self, service, matrix, tmp_path, make_delta, build
+        self, service, matrix, tmp_path, make_delta
     ):
         """A revision job's result is the child's from-scratch result.
 
-        Its index build says whether the update carried the parent's
-        gene rows over: an ``append_conditions`` update carries none
-        (every row gained values), so it is a cold build, counted once,
-        that never reads the parent's index.
+        Whatever the delta kind, the child's index is one cold build,
+        counted once, that never reads the parent's index.
         """
         parent = service.submit(matrix, PARAMS)
         run_done(service, parent)
@@ -151,21 +145,16 @@ class TestRevisionJobs:
         __, record = service.submit_revision(
             matrix_digest(matrix), delta, PARAMS
         )
-        assert run_done(service, record).index_build == build
+        assert run_done(service, record).index_build == "cold"
         builds = dict(
             re.findall(
                 r'repro_incremental_index_builds_total\{mode="(\w+)"\} (\d+)',
                 service.metrics.render(),
             )
         )
-        # The parent's own job built its index cold.
-        assert builds == (
-            {"cold": "2"} if build == "cold" else {"cold": "1", "delta": "1"}
-        )
-        # Only a gene-axis update reads (hits) the parent's index.
-        assert service.cache.stats.as_dict()["index_hits"] == (
-            0 if build == "cold" else 1
-        )
+        # The parent's own job built its index cold too.
+        assert builds == {"cold": "2"}
+        assert service.cache.stats.as_dict()["index_hits"] == 0
         assert_bit_identical(
             service.result(record.job_id),
             scratch_payload(tmp_path, apply_delta(matrix, delta)),
@@ -257,7 +246,7 @@ class TestRevisionJobs:
         assert degraded.state is JobState.DEGRADED
         assert degraded.missing_shards == [victim]
         # Fresh service over the same store, no faults: the revision
-        # job delta-updates the parent's index and mines.
+        # job builds the child's index cold and mines every shard.
         healthy = MiningService(tmp_path / "store")
         delta = AppendGenes(
             names=("flat",),
@@ -267,7 +256,7 @@ class TestRevisionJobs:
             matrix_digest(matrix), delta, PARAMS
         )
         done = run_done(healthy, record)
-        assert done.index_build == "delta"
+        assert done.index_build == "cold"
         assert_bit_identical(
             healthy.result(record.job_id),
             scratch_payload(tmp_path, apply_delta(matrix, delta)),
@@ -289,18 +278,19 @@ class TestRevisionJobs:
             'repro_incremental_revisions_total{delta="append_genes"} 1'
             in text
         )
+        # The parent's job and the revision job each built cold.
         assert (
-            'repro_incremental_index_builds_total{mode="delta"} 1'
+            'repro_incremental_index_builds_total{mode="cold"} 2'
             in text
         )
+        assert 'mode="delta"' not in text
 
     def test_cold_revision_bootstraps_the_lineage(
         self, service, matrix, tmp_path
     ):
         # A parent whose index left the cache (LRU eviction, or an
-        # explicit drop) leaves nothing to delta-update.  Evict it: the
-        # first revision must fall back to a cold build but *store* it,
-        # so a chained second revision delta-updates.
+        # explicit drop) changes nothing for its revisions: each child
+        # builds its own index cold and stores it.
         parent = service.submit(matrix, PARAMS)
         run_done(service, parent)
         cache = service.cache
@@ -317,7 +307,7 @@ class TestRevisionJobs:
         )
         done1 = run_done(service, rec1)
         assert done1.index_build == "cold"
-        # ... but the cold build was stored for the lineage:
+        # ... and the cold build was stored:
         assert (
             cache.get_index(rev1.child_digest, PARAMS.gamma) is not None
         )
@@ -327,7 +317,7 @@ class TestRevisionJobs:
             rev1.child_digest, second, PARAMS
         )
         done2 = run_done(service, rec2)
-        assert done2.index_build == "delta"
+        assert done2.index_build == "cold"
         assert_bit_identical(
             service.result(rec2.job_id),
             scratch_payload(
@@ -363,10 +353,15 @@ class TestPoolMinedParent:
             names=("gA",),
             values=bimodal_matrix(1, matrix.n_conditions, seed=41).values,
         )
-        __, record = pool_service.submit_revision(
+        revision, record = pool_service.submit_revision(
             matrix_digest(matrix), delta, PARAMS
         )
-        assert run_done(pool_service, record).index_build == "delta"
+        # The child's index is built cold and left in the cache too.
+        assert run_done(pool_service, record).index_build == "cold"
+        assert (
+            pool_service.cache.get_index(revision.child_digest, PARAMS.gamma)
+            is not None
+        )
 
 
 class TestSweeps:
@@ -457,9 +452,9 @@ class TestCacheLineage:
         revision, record = service.submit_revision(
             matrix_digest(matrix), delta, PARAMS
         )
-        assert run_done(service, record).index_build == "delta"
+        assert run_done(service, record).index_build == "cold"
         cache = service.cache
-        # Evict the parent's index; the delta-built child must still load.
+        # Evict the parent's index; the child's must still load.
         cache.drop_artifact(
             index_cache_key(matrix_digest(matrix), PARAMS.gamma)
         )
@@ -512,10 +507,16 @@ class TestIncrementalEndpoints:
         )
         assert status == 202
         assert set(body) == {"revision", "job"}
+        assert set(body["revision"]) == {
+            "format", "parent_digest", "child_digest", "delta", "created_at"
+        }
         assert body["revision"]["parent_digest"] == matrix_digest(matrix)
+        assert body["revision"]["delta"] == delta_to_dict(delta)
         assert body["job"]["matrix_digest"] == (
             body["revision"]["child_digest"]
         )
+        # The revision is not stored: nothing reads it back.
+        assert not (service.store_dir / "revisions").exists()
 
     def test_post_revision_unknown_digest_404(self, router):
         status, body = self._post(
@@ -580,6 +581,27 @@ class TestIncrementalEndpoints:
         assert all(
             point["result"] is not None for point in results["points"]
         )
+
+    def test_sweep_with_an_invalid_point_queues_nothing(
+        self, router, service, matrix
+    ):
+        # The second gamma is out of range: the whole grid is refused
+        # before its first point is submitted.
+        status, body = self._post(
+            router,
+            "/sweeps",
+            {
+                "matrix": {"values": matrix.values.tolist()},
+                "parameters": {"min_genes": 2, "min_conditions": 2,
+                               "gamma": 0.6, "epsilon": 0.1},
+                "gammas": [0.1, 2.0],
+                "epsilons": [0.1],
+            },
+        )
+        assert status == 400
+        assert "error" in body
+        assert service.list_jobs() == []
+        assert service.sweeps.list_sweeps() == []
 
     def test_sweep_rejects_non_list_axes(self, router, matrix):
         status, body = self._post(

@@ -12,6 +12,7 @@ from repro.core.params import MiningParameters
 from repro.core.rwave import RWaveIndex
 from repro.datasets.synthetic import SyntheticConfig, make_synthetic_dataset
 from repro.core.serialize import result_to_dict
+from repro.incremental import AppendGenes
 from repro.service.cache import index_cache_key
 from repro.service.jobs import JobState, JobStore
 from repro.service import service as service_module
@@ -232,17 +233,30 @@ class TestRestart:
     def test_store_of_an_earlier_version_still_serves(
         self, tmp_path, running_example, paper_params
     ):
-        """Earlier versions built a regulation kernel for every job and
-        stitched revision shards from the parent job: each record
-        carries ``kernel_cache_hit`` / ``kernel_build`` and
-        ``reused_shards`` / ``revision_parent``, the cache holds a
-        ``kernel-...`` artifact and a manifest entry may name the
-        ``parent_digest`` its artifact was delta-updated from.  Such a
-        store still opens, re-arms its running job and finishes it."""
+        """Earlier versions built a regulation kernel for every job,
+        stitched revision shards from the parent job and delta-updated
+        a revision's index from its parent's: each record carries
+        ``kernel_cache_hit`` / ``kernel_build`` and ``reused_shards`` /
+        ``revision_parent``, a revision job's record may say
+        ``index_build: delta``, the cache holds a ``kernel-...``
+        artifact, a manifest entry may name the ``parent_digest`` its
+        artifact was delta-updated from, and ``revisions/`` holds one
+        JSON file per revision.  Such a store still opens, serves its
+        records and results, ignores the revision files, re-arms its
+        running job and finishes it."""
         store = tmp_path / "store"
         writer = MiningService(store)
         done = writer.submit(running_example, paper_params)
         writer.run_pending()
+        revision, child = writer.submit_revision(
+            done.matrix_digest,
+            AppendGenes(
+                names=("g4",), values=2.0 * running_example.values[:1] + 1.0
+            ),
+            paper_params,
+        )
+        writer.run_pending()
+        child_result = writer.result(child.job_id)
         running = writer.submit(
             running_example, paper_params.with_overrides(epsilon=0.3)
         )
@@ -267,6 +281,7 @@ class TestRestart:
                 "reused_shards": [0, 2],
                 "revision_parent": done.job_id,
             },
+            child.job_id: {"index_build": "delta"},
         }
         for job_id, fields in earlier.items():
             path = store / "jobs" / f"{job_id}.json"
@@ -279,10 +294,16 @@ class TestRestart:
         index_key = index_cache_key(done.matrix_digest, paper_params.gamma)
         manifest["entries"][index_key]["parent_digest"] = "ab" * 32
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        revision_file = store / "revisions" / f"{revision.child_digest}.json"
+        revision_file.parent.mkdir()
+        revision_text = json.dumps(
+            revision.to_dict(), sort_keys=True, indent=2
+        ) + "\n"
+        revision_file.write_text(revision_text, encoding="utf-8")
         jobs = JobStore(store / "jobs")
         assert jobs.get(done.job_id).state is JobState.DONE
         assert jobs.get(running.job_id).state is JobState.RUNNING
-        assert len(jobs.list_records()) == 2
+        assert len(jobs.list_records()) == 3
 
         restarted = MiningService(store)
         assert restarted.run_pending() == 1
@@ -293,7 +314,22 @@ class TestRestart:
 
         from repro.service.router import Request, ServiceRouter
 
-        response = ServiceRouter(restarted).handle(Request(
+        router = ServiceRouter(restarted)
+        response = router.handle(Request("GET", f"/jobs/{child.job_id}"))
+        assert response.status == 200
+        served = json.loads(response.body)["job"]
+        assert (served["state"], served["index_build"]) == ("done", "delta")
+        response = router.handle(
+            Request("GET", f"/jobs/{child.job_id}/result")
+        )
+        assert response.status == 200
+        assert json.loads(response.body)["clusters"] == (
+            child_result["clusters"]
+        )
+        assert list(revision_file.parent.iterdir()) == [revision_file]
+        assert revision_file.read_text(encoding="utf-8") == revision_text
+
+        response = router.handle(Request(
             "GET",
             f"/artifacts/kernel/{done.matrix_digest}/{paper_params.gamma!r}",
         ))
