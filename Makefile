@@ -50,14 +50,16 @@ serve-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/serve_smoke.py
 
 # Fault-injection counterpart of serve-smoke: SIGKILL a worker mid-job
-# and require a bit-identical recovery, then a clean degraded job and a
+# and require a bit-identical recovery, twice on one daemon (the second
+# job breaks the replacement pool), then a clean degraded job and a
 # client that absorbs injected 503s (docs/robustness.md).
 chaos-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/chaos_smoke.py
 
 # Observability counterpart of serve-smoke: trace a multi-process mine
 # through the CLI and the daemon, then require the shard spans of every
-# worker to stitch under a single job root (docs/observability.md).
+# worker to stitch under a single job root, per job for two jobs on one
+# daemon's warm workers (docs/observability.md).
 trace-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/trace_smoke.py
 

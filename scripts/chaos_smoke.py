@@ -10,7 +10,11 @@ The fault-injection counterpart of ``scripts/serve_smoke.py``
    finish ``done`` with a result *identical* to a direct in-process
    :func:`repro.core.miner.mine_reg_clusters` run — the retry must heal
    the crash without a trace in the output — and the retry to show up
-   in ``GET /metrics`` (``repro_shard_retries_total``).
+   in ``GET /metrics`` (``repro_shard_retries_total``).  Then submit a
+   second matrix to the same daemon: the victim's first attempt dies in
+   every job, so it must end ``done`` and exact again, with the shard
+   failure recorded — the replacement pool serves later jobs and can
+   itself be broken and replaced.
 2. **Graceful degradation.**  Re-mine with the retry budget set to
    zero and a shard that always crashes: the job must finish
    ``degraded`` (not ``failed``), listing exactly the killed shard in
@@ -38,6 +42,7 @@ from repro.core.miner import mine_reg_clusters
 from repro.core.params import MiningParameters
 from repro.core.serialize import result_to_dict
 from repro.datasets.running_example import load_running_example
+from repro.datasets.synthetic import make_synthetic_dataset
 from repro.service import (
     FaultKind,
     FaultPlan,
@@ -140,11 +145,41 @@ def _phase_crash_recovery(matrix, params, direct) -> int:
                 f"to direct mining ({len(direct['clusters'])} cluster(s)); "
                 f"retry visible in /metrics"
             )
+            status = _second_job_on_the_replaced_pool(client, victim)
+            if status != 0:
+                return status
         finally:
             service.stop()
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+    return 0
+
+
+def _second_job_on_the_replaced_pool(client: ServiceClient, victim: int) -> int:
+    matrix = make_synthetic_dataset(
+        n_genes=60, n_conditions=12, n_clusters=2, seed=5
+    ).matrix
+    params = MiningParameters(
+        min_genes=3, min_conditions=4, gamma=0.2, epsilon=0.5
+    )
+    direct = _direct_payload(matrix, params)
+    record = client.submit_matrix(matrix, parameters_to_dict(params))
+    done = client.wait(record["job_id"], timeout=180)
+    if done["state"] != "done":
+        print(f"chaos: FAIL — second job ended {done['state']}: "
+              f"{done.get('error')}")
+        return 1
+    if str(victim) not in (done.get("shard_failures") or {}):
+        print("chaos: FAIL — the second job recorded no failure of shard "
+              f"{victim}, so the replacement pool was never broken")
+        return 1
+    if client.result(record["job_id"]) != direct:
+        print("chaos: FAIL — second job's result differs from direct mining")
+        return 1
+    print(f"chaos: second job on the same daemon killed its worker too "
+          f"(failures: {done['shard_failures']}) and matched direct mining "
+          f"({len(direct['clusters'])} cluster(s))")
     return 0
 
 

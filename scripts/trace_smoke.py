@@ -12,7 +12,10 @@ The observability counterpart of ``scripts/serve_smoke.py``
    attempt.  The job's trace file must hold exactly one trace: a root
    ``job`` span, every shard span stitched under its trace id across
    the worker processes, and *both* attempts of the crashed shard (the
-   failed one marked ``outcome=failed``).
+   failed one marked ``outcome=failed``).  A second job then runs on
+   the same daemon, whose warm workers switch to its context: each
+   trace file must hold exactly one root, one trace id and only its own
+   job's shard spans.
 
 Exit status 0 on success; prints a unified summary either way.
 Used by ``make trace-smoke`` and the CI ``trace-smoke`` job.
@@ -27,6 +30,7 @@ from pathlib import Path
 
 from repro.core.params import MiningParameters
 from repro.datasets.running_example import load_running_example
+from repro.datasets.synthetic import make_synthetic_dataset
 from repro.obs.trace import load_spans, summarize_trace
 from repro.service import (
     FaultKind,
@@ -84,11 +88,42 @@ def _phase_cli(tmp: Path) -> int:
     return 0
 
 
+def _check_job_trace(path: Path, job_id: str, n_shards: int) -> str:
+    """Why a daemon job's trace is wrong, or ``""``: one ``job`` root
+    carrying the job id, one trace id, and a ``shard`` span for each of
+    this job's shards from the worker pool, and no other job's."""
+    spans = load_spans(path)
+    if not spans:
+        return f"no spans in {path}"
+    trace_ids = {span["trace_id"] for span in spans}
+    if len(trace_ids) != 1:
+        return f"{len(trace_ids)} trace ids in one job trace"
+    roots = [s for s in spans if s["parent_id"] is None]
+    if len(roots) != 1 or roots[0]["name"] != "job":
+        return f"expected one 'job' root, got {[r['name'] for r in roots]}"
+    if roots[0]["attributes"].get("job_id") != job_id:
+        return "root span does not carry the job id"
+    shards = {
+        s["attributes"].get("shard") for s in spans if s["name"] == "shard"
+    }
+    if shards != set(range(n_shards)):
+        return f"shard spans name shards {sorted(shards)}, expected " \
+            f"0..{n_shards - 1}"
+    return ""
+
+
 def _phase_daemon(tmp: Path) -> int:
-    print("trace: phase 2 — daemon trace_dir, crash-shard retried once")
+    print("trace: phase 2 — daemon trace_dir, crash-shard retried once, "
+          "then a second job on the warm pool")
     matrix = load_running_example()
     params = MiningParameters(
         min_genes=3, min_conditions=5, gamma=0.15, epsilon=0.1
+    )
+    second = make_synthetic_dataset(
+        n_genes=60, n_conditions=8, n_clusters=2, seed=8
+    ).matrix
+    second_params = MiningParameters(
+        min_genes=3, min_conditions=4, gamma=0.2, epsilon=0.5
     )
     victim = 4
     plan = FaultPlan(
@@ -104,33 +139,31 @@ def _phase_daemon(tmp: Path) -> int:
         trace_dir=trace_dir,
     )
     try:
-        record = service.submit(matrix, params)
-        service.run_pending()
-        done = service.status(record.job_id)
-        if done.state is not JobState.DONE:
-            print(f"trace: FAIL — job ended {done.state.value}: "
-                  f"{done.error}")
-            return 1
+        records = []
+        for job_matrix, job_params in (
+            (matrix, params), (second, second_params)
+        ):
+            record = service.submit(job_matrix, job_params)
+            service.run_pending()
+            done = service.status(record.job_id)
+            if done.state is not JobState.DONE:
+                print(f"trace: FAIL — job ended {done.state.value}: "
+                      f"{done.error}")
+                return 1
+            records.append(record)
     finally:
         service.stop()
 
-    trace_path = trace_dir / f"{record.job_id}.trace.jsonl"
-    spans = load_spans(trace_path)
-    if not spans:
-        print(f"trace: FAIL — no spans in {trace_path}")
-        return 1
-    trace_ids = {span["trace_id"] for span in spans}
-    if len(trace_ids) != 1:
-        print(f"trace: FAIL — {len(trace_ids)} trace ids in one job trace")
-        return 1
-    roots = [s for s in spans if s["parent_id"] is None]
-    if len(roots) != 1 or roots[0]["name"] != "job":
-        print(f"trace: FAIL — expected one 'job' root, got "
-              f"{[r['name'] for r in roots]}")
-        return 1
-    if roots[0]["attributes"].get("job_id") != record.job_id:
-        print("trace: FAIL — root span does not carry the job id")
-        return 1
+    for record, job_matrix in zip(records, (matrix, second)):
+        problem = _check_job_trace(
+            trace_dir / f"{record.job_id}.trace.jsonl",
+            record.job_id,
+            job_matrix.n_conditions,
+        )
+        if problem:
+            print(f"trace: FAIL — job {record.job_id}: {problem}")
+            return 1
+    spans = load_spans(trace_dir / f"{records[0].job_id}.trace.jsonl")
     pids = {s["pid"] for s in spans if s["name"] == "shard"}
     if len(pids) < 2:
         print(f"trace: FAIL — shard spans came from {len(pids)} process(es);"
@@ -160,7 +193,8 @@ def _phase_daemon(tmp: Path) -> int:
         print("trace: FAIL — fresh job rendered as resumed")
         return 1
     print(f"trace: {len(spans)} span(s) from {len(pids)} worker pid(s) "
-          f"stitched under one root; crashed shard kept both attempts")
+          f"stitched under one root; crashed shard kept both attempts; "
+          f"the second job's trace holds only its own spans")
     return 0
 
 

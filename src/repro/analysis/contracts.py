@@ -70,9 +70,10 @@ def set_enabled(flag: bool) -> None:
     """Turn contract checking on or off for this process.
 
     The one writer of the flag.  A pool worker gets the driver's flag
-    through its initializer (:func:`repro.service.executor._init_worker`),
-    so a programmatic :func:`enable` reaches the workers of pools made
-    after it, under ``spawn`` as under ``fork``.
+    with each run's worker context
+    (:func:`repro.service.executor._install_context`), so a programmatic
+    :func:`enable` reaches the workers of runs started after it, warm or
+    new, under ``spawn`` as under ``fork``.
     """
     global _enabled
     _enabled = flag

@@ -18,9 +18,10 @@ its forked children.  Two patterns break silently:
     a driver-side function reassigns a module global that worker-entry
     functions read.  Workers forked before the write keep the old
     value; workers on spawn never see it.  Globals that workers depend
-    on must travel through ``initargs`` and be installed by the pool
-    initializer (which runs *inside* the worker and is therefore
-    exempt).
+    on must travel to the workers — through ``initargs``, or in a job
+    context that each task names — and be installed worker-side, by the
+    pool initializer or the worker entry (both run *inside* the worker
+    and are therefore exempt).
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ class PostForkGlobalMutationRule(ProjectRule):
         "Workers inherit module globals at fork (or re-import them under "
         "spawn); a global reassigned on the driver side afterwards diverges "
         "silently between parent and workers. Route the value through "
-        "initargs and install it in the pool initializer instead."
+        "initargs or the job context a task names, and install it "
+        "worker-side (pool initializer or worker entry) instead."
     )
 
     def check_project(self, project: ProjectIndex) -> Iterator[Violation]:
@@ -110,6 +112,7 @@ class PostForkGlobalMutationRule(ProjectRule):
                     node,
                     f"global {name} is reassigned in {info.qualname}() on "
                     f"the driver side but read inside worker processes by "
-                    f"{', '.join(readers)}; pass it through initargs/"
-                    f"initializer instead",
+                    f"{', '.join(readers)}; pass it to the workers "
+                    f"(initargs or a task's job context) and install it "
+                    f"worker-side instead",
                 )

@@ -14,7 +14,7 @@ The mining service shards one job across a
 that boundary, but its *context* can.  :class:`SpanContext` is a tiny
 frozen (picklable) dataclass carrying ``(trace_id, span_id)``;
 :meth:`Tracer.worker_config` packages it with the sink path into a
-:class:`TraceWorkerConfig` that ships through the pool initializer.
+:class:`TraceWorkerConfig` that ships in the run's worker context.
 Each worker then builds its own :class:`Tracer` appending to the *same*
 file — one ``write()`` of one ``O_APPEND`` line per span keeps
 concurrent writers from interleaving — and parents its shard spans on
@@ -187,8 +187,7 @@ class TraceWorkerConfig:
     """Everything a pool worker needs to join an existing trace.
 
     Picklable by construction (a path string plus a
-    :class:`SpanContext`); shipped through the
-    ``ProcessPoolExecutor`` initializer by
+    :class:`SpanContext`); shipped in a pool run's worker context by
     :mod:`repro.service.executor`.
     """
 

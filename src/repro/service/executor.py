@@ -39,7 +39,7 @@ machinery on top of the plain sharded driver (``docs/robustness.md``):
 * **per-shard retry** — a shard whose worker raises (or whose process
   dies, breaking the pool) is resubmitted up to
   :attr:`~repro.service.resilience.RetryPolicy.max_retries` times with
-  exponential backoff and deterministic jitter; the pool is rebuilt
+  exponential backoff and deterministic jitter; the pool is replaced
   after a hard worker death;
 * **wall-clock timeout** — a deadline cooperatively cancels the search
   (:class:`~repro.core.miner.MiningTimeout`), at node granularity
@@ -55,12 +55,23 @@ machinery on top of the plain sharded driver (``docs/robustness.md``):
 
 Fault *injection* (the chaos harness exercising all of the above) is
 driven by a seeded :class:`~repro.service.resilience.FaultPlan`.
+
+Worker pools
+------------
+A :class:`WorkerPool` outlives the runs it serves: a daemon forks its
+workers once, not once per job.  A run's worker context therefore
+travels in a file pickled once per run; every shard task names it with
+a token fresh to the run, and a worker installs a context only when
+the token changes.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
+import tempfile
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -113,6 +124,7 @@ __all__ = [
     "ShardResult",
     "ShardedOutcome",
     "ShardFailure",
+    "WorkerPool",
     "shard_from_wire",
     "shard_to_wire",
 ]
@@ -244,8 +256,11 @@ class ShardedOutcome:
 # Worker-process side
 # ----------------------------------------------------------------------
 
-#: Per-worker miner, built once by the pool initializer so the RWave
-#: index is constructed (or unpickled) once per process, not per shard.
+#: The token of the run whose context this worker holds (``None``
+#: before its first shard task).
+_WORKER_TOKEN: Optional[str] = None
+#: Per-worker miner, built once per run so the RWave index is unpickled
+#: once per process and run, not per shard.
 _WORKER_MINER: Optional[RegClusterMiner] = None
 #: Per-worker fault plan (chaos testing only; ``None`` in production).
 _WORKER_FAULTS: Optional[FaultPlan] = None
@@ -255,24 +270,55 @@ _WORKER_TRACE: Optional[TraceWorkerConfig] = None
 _WORKER_TRACER: Optional[Tracer] = None
 
 
-def _init_worker(
-    matrix: ExpressionMatrix,
-    params: MiningParameters,
-    prunings: Optional[PruningConfig],
-    index: Optional[RWaveIndex],
-    fault_plan: Optional[FaultPlan] = None,
-    trace_config: Optional[TraceWorkerConfig] = None,
-    check_contracts: bool = False,
-) -> None:
-    global _WORKER_MINER, _WORKER_FAULTS, _WORKER_TRACE, _WORKER_TRACER
-    # The driver's contract flag, set before a worker builds its index.
+def _write_context(driver: "_ShardDriver") -> str:
+    """Pickle a pool run's worker context to a private temp file.
+
+    Returns the file's path; the run removes it when it returns.
+    """
+    trace_config = (
+        None if driver.trace_parent is None
+        else driver.tracer.worker_config(driver.trace_parent)
+    )
+    context = (
+        driver.matrix, driver.params, driver.prunings, driver.index,
+        driver.fault_plan, trace_config, contracts_enabled(),
+    )
+    handle, path = tempfile.mkstemp(prefix="repro-shards-", suffix=".pickle")
+    try:
+        with os.fdopen(handle, "wb") as stream:
+            pickle.dump(context, stream, protocol=pickle.HIGHEST_PROTOCOL)
+    except BaseException:
+        os.unlink(path)
+        raise
+    return path
+
+
+def _install_context(token: str, path: str) -> None:
+    """Make run ``token``'s context, read from ``path``, this worker's.
+
+    The previous run's tracer is closed and its miner, index included,
+    dropped before the file is read, so a worker never holds two runs'
+    indexes or writes to an earlier job's trace.
+    """
+    global _WORKER_TOKEN, _WORKER_MINER, _WORKER_FAULTS
+    global _WORKER_TRACE, _WORKER_TRACER
+    if _WORKER_TRACER is not None:
+        _WORKER_TRACER.close()
+    _WORKER_TOKEN = _WORKER_MINER = _WORKER_FAULTS = None
+    _WORKER_TRACE = _WORKER_TRACER = None
+    with open(path, "rb") as stream:
+        (
+            matrix, params, prunings, index, fault_plan, trace_config,
+            check_contracts,
+        ) = pickle.load(stream)
+    # The driver's contract flag, set before the worker builds its miner.
     set_enabled(check_contracts)
     _WORKER_MINER = RegClusterMiner(
         matrix, params, prunings=prunings, index=index
     )
     _WORKER_FAULTS = fault_plan
     _WORKER_TRACE = trace_config
-    _WORKER_TRACER = None
+    _WORKER_TOKEN = token
 
 
 def _worker_tracer() -> Tuple[Tracer, Optional[SpanContext]]:
@@ -339,9 +385,13 @@ def _annotate_shard_span(span: Span, shard: ShardResult) -> None:
     )
 
 
-def _mine_start(start: int, attempt: int = 0) -> ShardResult:
+def _mine_start(token: str, path: str, start: int, attempt: int) -> ShardResult:
+    """A pool worker's shard task: one attempt at ``start`` for run
+    ``token``, whose context file is ``path``."""
+    if token != _WORKER_TOKEN:
+        _install_context(token, path)
     miner = _WORKER_MINER
-    assert miner is not None, "worker pool initializer did not run"
+    assert miner is not None
     tracer, parent = _worker_tracer()
     with tracer.span(
         "shard",
@@ -427,6 +477,54 @@ def _pool_context(
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
     )
+
+
+class WorkerPool:
+    """Worker processes that outlive the sharded runs they serve.
+
+    A daemon (:class:`~repro.service.service.MiningService`) keeps one
+    for its lifetime; :func:`mine_sharded_outcome` makes one per call
+    when its caller passes none.  The executor behind it starts on
+    first use and is replaced (:meth:`retire`) when a worker death
+    breaks it or a run ends with shards still running.
+    """
+
+    def __init__(
+        self, n_workers: int, start_method: Optional[str] = None
+    ) -> None:
+        if n_workers < 1:
+            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+        self.n_workers = n_workers
+        self._context = _pool_context(start_method)
+        self._lock = threading.Lock()
+        self._executor: Optional[ProcessPoolExecutor] = None
+
+    def executor(self) -> ProcessPoolExecutor:
+        """The live executor, started on first use."""
+        with self._lock:
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.n_workers, mp_context=self._context
+                )
+            return self._executor
+
+    def retire(self, executor: ProcessPoolExecutor) -> None:
+        """Give up ``executor``: broken, or left with shards running.
+
+        Its queued shards are cancelled without waiting for its running
+        ones; the next :meth:`executor` starts a fresh one.
+        """
+        with self._lock:
+            if self._executor is executor:
+                self._executor = None
+        executor.shutdown(wait=False, cancel_futures=True)
+
+    def shutdown(self) -> None:
+        """Stop the live executor and wait for its workers to exit."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
 
 
 class _ShardDriver:
@@ -753,9 +851,7 @@ def _drive_in_process(driver: _ShardDriver) -> ShardedOutcome:
     return driver.outcome()
 
 
-def _drive_pool(
-    driver: _ShardDriver, n_workers: int, start_method: Optional[str]
-) -> ShardedOutcome:
+def _drive_pool(driver: _ShardDriver, pool: WorkerPool) -> ShardedOutcome:
     """Mine shards on a worker pool, surviving worker death.
 
     A clean shard failure (an exception out of the worker) costs only
@@ -763,46 +859,46 @@ def _drive_pool(
     :class:`~concurrent.futures.ProcessPoolExecutor`; the driver then
     salvages every future that finished before the break, charges one
     attempt to every shard that was in flight (the killer cannot be
-    told apart from its victims), rebuilds the pool and resubmits.
-    Cancellation/timeout are honoured between shard completions (a
-    worker cannot be interrupted mid-shard cooperatively).
+    told apart from its victims), replaces the executor and resubmits.
+    A pool found broken before any shard of this run is in flight (a
+    worker died while the pool sat idle) is replaced without charging
+    anyone.  Cancellation/timeout are honoured between shard
+    completions (a worker cannot be interrupted mid-shard
+    cooperatively); a run that ends with shards still running retires
+    the executor, so the next run does not queue behind them.
     """
-    context = _pool_context(start_method)
-    trace_config = (
-        None if driver.trace_parent is None
-        else driver.tracer.worker_config(driver.trace_parent)
-    )
-    initargs = (
-        driver.matrix, driver.params, driver.prunings, driver.index,
-        driver.fault_plan, trace_config, contracts_enabled(),
-    )
     n_shards = driver.matrix.n_conditions
-
-    def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=n_workers,
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=initargs,
-        )
-
+    executor = pool.executor()
+    token = os.urandom(8).hex()
+    path = _write_context(driver)
     ready: List[int] = list(driver.pending)
     retry_at: Dict[int, float] = {}
     futures: Dict["Future[ShardResult]", int] = {}
-    pool = make_pool()
     try:
         while ready or retry_at or futures:
+            # Before submitting: a job stopped before its search starts
+            # leaves the pool idle instead of abandoning it mid-shard.
+            driver.check_interrupts(
+                f"after {len(driver.shards)} of {n_shards} shards"
+            )
             now = time.monotonic()
             for start in [s for s, at in retry_at.items() if at <= now]:
                 del retry_at[start]
                 ready.append(start)
-            for start in ready:
+            while ready:
+                start = ready[0]
                 attempt = driver.failed_attempts.get(start, 0)
-                futures[pool.submit(_mine_start, start, attempt)] = start
-            ready.clear()
-            driver.check_interrupts(
-                f"after {len(driver.shards)} of {n_shards} shards"
-            )
+                try:
+                    future = executor.submit(
+                        _mine_start, token, path, start, attempt
+                    )
+                except BrokenProcessPool:
+                    if futures:
+                        break  # they fail with it too: handled below
+                    pool.retire(executor)
+                    executor = pool.executor()
+                    continue
+                futures[future] = ready.pop(0)
             if not futures:
                 # Everything is waiting out a backoff; nap until the
                 # earliest retry is due, staying responsive to stops.
@@ -851,10 +947,12 @@ def _drive_pool(
                     completed_shards=len(driver.shards),
                     pending_retries=len(retry_at),
                 )
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = make_pool()
+                pool.retire(executor)
+                executor = pool.executor()
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        if futures:
+            pool.retire(executor)
+        os.unlink(path)
     return driver.outcome()
 
 
@@ -876,6 +974,7 @@ def mine_sharded_outcome(
     tracer: Optional[Tracer] = None,
     trace_parent: Optional[SpanContext] = None,
     shards: Optional[Sequence[int]] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> ShardedOutcome:
     """Mine a matrix shard-by-shard with full recovery machinery.
 
@@ -914,6 +1013,11 @@ def mine_sharded_outcome(
         covers exactly those shards — the fleet node's way of mining
         only its leased shards (:mod:`repro.service.fleet`).  ``None``
         (default) mines the full universe.
+    pool:
+        The :class:`WorkerPool` to mine on when ``n_workers > 1`` (a
+        daemon's, kept warm across jobs); ``start_method`` is then
+        unused.  ``None`` (default) starts a pool of ``n_workers`` for
+        this call and waits for its workers to exit before returning.
 
     Raises
     ------
@@ -947,7 +1051,13 @@ def mine_sharded_outcome(
     )
     if n_workers == 1:
         return _drive_in_process(driver)
-    return _drive_pool(driver, n_workers, start_method)
+    if pool is not None:
+        return _drive_pool(driver, pool)
+    own = WorkerPool(n_workers, start_method)
+    try:
+        return _drive_pool(driver, own)
+    finally:
+        own.shutdown()
 
 
 def mine_sharded(

@@ -9,7 +9,10 @@ end and the ``reg-cluster serve`` CLI.  It owns
 * a content-addressed matrix store (exact ``.npz`` round-trip, so the
   digest of a reloaded matrix is bit-identical to the submitted one),
 * one background execution thread draining a FIFO of submitted jobs
-  through :func:`~repro.service.executor.mine_sharded`.
+  through :func:`~repro.service.executor.mine_sharded_outcome`,
+* one :class:`~repro.service.executor.WorkerPool` for the daemon's
+  lifetime: the first job that mines on workers forks them, every later
+  job reuses them, and :meth:`MiningService.stop` shuts them down.
 
 Submission is idempotent: a job's id is a function of (matrix digest,
 parameters), so resubmitting identical work returns the existing record
@@ -78,7 +81,11 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, render_family
 from repro.obs.trace import NULL_TRACER, Span, Tracer
 from repro.service.cache import DEFAULT_MAX_BYTES, ArtifactCache
-from repro.service.executor import ShardResult, mine_sharded_outcome
+from repro.service.executor import (
+    ShardResult,
+    WorkerPool,
+    mine_sharded_outcome,
+)
 from repro.service.fleet import DEFAULT_LEASE_TTL, FleetState
 from repro.service.jobs import (
     ACTIVE_STATES,
@@ -119,9 +126,10 @@ class MiningService:
         artifact cache.  Created if absent; a service restarted on the
         same directory sees all previous jobs and cached artifacts.
     n_workers:
-        Worker processes per job (see
-        :func:`~repro.service.executor.mine_sharded`).  Results are
-        identical for every value.
+        Worker processes (see
+        :func:`~repro.service.executor.mine_sharded`).  With more than
+        one, jobs mine on the daemon's worker pool, forked once by the
+        first job that needs it.  Results are identical for every value.
     max_cache_bytes:
         Artifact-cache size bound.
     job_timeout:
@@ -195,7 +203,10 @@ class MiningService:
         self.store_dir = Path(store_dir)
         self.store_dir.mkdir(parents=True, exist_ok=True)
         self.n_workers = n_workers
-        self.start_method = start_method
+        #: the pool every multi-worker job mines on; it forks its
+        #: workers on first use, replaces them when a job breaks or
+        #: abandons them, and stops them in stop()
+        self._pool = WorkerPool(n_workers, start_method)
         self.job_timeout = job_timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.fault_plan = (
@@ -914,7 +925,8 @@ class MiningService:
             self._thread.start()
 
     def stop(self, timeout: Optional[float] = 10.0) -> None:
-        """Stop the execution thread; a running job is cancelled."""
+        """Stop the execution thread and the worker pool; a running job
+        is cancelled."""
         with self._lock:
             thread = self._thread
             self._stop_requested.set()
@@ -927,6 +939,7 @@ class MiningService:
         self.interrupt_waits()
         if thread is not None:
             thread.join(timeout=timeout)
+        self._pool.shutdown()
         with self._lock:
             self._thread = None
 
@@ -1160,7 +1173,7 @@ class MiningService:
                     matrix,
                     params,
                     n_workers=self.n_workers,
-                    start_method=self.start_method,
+                    pool=self._pool,
                     retry=self.retry,
                     **options,
                 )

@@ -8,6 +8,7 @@ single-process :func:`repro.core.miner.mine_reg_clusters`.
 from __future__ import annotations
 
 import gc
+import os
 import threading
 import weakref
 
@@ -266,19 +267,21 @@ class TestFailurePaths:
 
 
 class TestFinishedJobsReleaseTheirArtifacts:
-    @pytest.mark.parametrize("path", ["in-process", "fleet"])
+    @pytest.mark.parametrize("path", ["in-process", "fleet", "warm-pool"])
     def test_index_is_freed_without_a_garbage_collection(
         self, synthetic, synthetic_params, path
     ):
         """The ledger and the in-process miner must not form a
         reference cycle: a daemon runs one job after another, and a
         cycle would keep every finished job's index and kernel resident
-        until the cyclic collector happens to run."""
+        until the cyclic collector happens to run.  A warm pool outlives
+        the job, so the driver side must not keep its index either."""
         index = RWaveIndex(synthetic, synthetic_params.gamma)
         alive = weakref.ref(index)
         options = dict(
             index=index, timeout=60.0, progress_callback=lambda *__: None
         )
+        pool = executor.WorkerPool(2)
         gc.disable()
         try:
             if path == "fleet":
@@ -289,26 +292,39 @@ class TestFinishedJobsReleaseTheirArtifacts:
                     matrix_digest=matrix_digest(synthetic),
                     **options,
                 )
+            elif path == "warm-pool":
+                mine_sharded_outcome(
+                    synthetic, synthetic_params, n_workers=2, pool=pool,
+                    **options,
+                )
             else:
                 mine_sharded_outcome(synthetic, synthetic_params, **options)
             del index, options
             assert alive() is None
         finally:
             gc.enable()
+            pool.shutdown()
 
 
-def test_the_worker_initializer_installs_the_drivers_contract_flag(
+def test_a_runs_context_installs_the_drivers_contract_flag(
     monkeypatch, running_example, paper_params
 ):
     # A spawned worker re-imports the contracts module with the flag
-    # off; only the initializer's argument can turn it on before the
-    # worker builds its own index.
-    monkeypatch.setattr(contracts, "_enabled", False)
+    # off, and a warm worker keeps the previous run's flag; only the
+    # run's context can set it before the worker builds its miner.
     for name in (
-        "_WORKER_MINER", "_WORKER_FAULTS", "_WORKER_TRACE", "_WORKER_TRACER"
+        "_WORKER_TOKEN", "_WORKER_MINER", "_WORKER_FAULTS", "_WORKER_TRACE",
+        "_WORKER_TRACER",
     ):
         monkeypatch.setattr(executor, name, None)
-    executor._init_worker(
-        running_example, paper_params, None, None, None, None, True
+    monkeypatch.setattr(contracts, "_enabled", True)
+    path = executor._write_context(
+        executor._ShardDriver(running_example, paper_params)
     )
+    try:
+        monkeypatch.setattr(contracts, "_enabled", False)
+        executor._install_context("run-1", path)
+    finally:
+        os.unlink(path)
     assert contracts.contracts_enabled()
+    assert executor._WORKER_TOKEN == "run-1"
